@@ -6,7 +6,9 @@ bit-identical schedules — is asserted here, not just documented:
 
 * ``test_bench_fast_100k`` times the fast engine alone on the standard
   100k-job diurnal workload (the perf-gate trajectory entry);
-* ``test_fast_speedup_100k`` runs *both* engines on that workload and
+* ``test_fast_speedup_100k`` runs *both* engines on that workload — the
+  reference side is the readable loop by name, ``simulate_reference``,
+  since ``simulate()`` itself now runs the fast engine — and
   asserts the >= 10x ratio plus identical ``SimResult.to_dict()``
   (measured ~20x on a dev box, so the gate has 2x headroom for noise);
 * ``test_fast_speedup_million`` is the million-job smoke from the issue,
@@ -40,11 +42,11 @@ from repro.sched import (
     EASY,
     FaultConfig,
     SimWorkload,
-    simulate,
     simulate_conservative,
     simulate_fast,
     simulate_fast_conservative,
     simulate_fast_with_faults,
+    simulate_reference,
     simulate_with_faults,
 )
 
@@ -129,7 +131,7 @@ def test_fast_speedup_100k(record_property):
     wl = diurnal_workload(BENCH_JOBS, BENCH_CAPACITY)
 
     t0 = time.perf_counter()
-    ref = simulate(wl, BENCH_CAPACITY, "fcfs", EASY)
+    ref = simulate_reference(wl, BENCH_CAPACITY, "fcfs", EASY)
     ref_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -253,7 +255,7 @@ def test_fast_speedup_million(record_property):
     fast_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ref = simulate(wl, BENCH_CAPACITY, "fcfs", EASY)
+    ref = simulate_reference(wl, BENCH_CAPACITY, "fcfs", EASY)
     ref_s = time.perf_counter() - t0
 
     assert np.array_equal(ref.start, fast.start)

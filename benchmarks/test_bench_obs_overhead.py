@@ -3,7 +3,8 @@
 ``_baseline_simulate`` is a frozen copy of the EASY engine's hot loop from
 *before* observability was wired in (fcfs-only, no fair-share bookkeeping —
 exactly the code path the instrumented engine takes for these inputs).
-The instrumented engine with **no sinks attached** must stay within a fixed
+The instrumented readable loop (``simulate_reference``; ``simulate()``
+itself runs the fast engine) with **no sinks attached** must stay within a fixed
 wall-time ratio of that baseline — the disabled path costs only a handful
 of ``None`` checks — and must of course produce an identical schedule.
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.obs import Metrics, NullProgress, PerfConfig, Profiler, RingBufferTracer
 from repro.runner import SimTask, WorkloadSpec, run_sweep
-from repro.sched import EASY, simulate, workload_from_trace
+from repro.sched import EASY, simulate_reference, workload_from_trace
 from repro.sched.cluster import Cluster
 from repro.sched.policies import get_policy
 from repro.traces.synth import generate_trace
@@ -130,13 +131,16 @@ def _bench_workload():
 
 
 def test_bench_noop_observability_overhead():
-    """simulate() with no sinks stays within NOOP_RATIO_LIMIT of baseline."""
+    """The readable loop with no sinks stays within NOOP_RATIO_LIMIT of
+    baseline."""
     workload, capacity = _bench_workload()
 
     t_base, (b_start, b_promised, b_backfilled) = _best_of(
         lambda: _baseline_simulate(workload, capacity)
     )
-    t_noop, res = _best_of(lambda: simulate(workload, capacity, "fcfs", EASY))
+    t_noop, res = _best_of(
+        lambda: simulate_reference(workload, capacity, "fcfs", EASY)
+    )
 
     # same schedule, bit for bit — instrumentation observes, never decides
     assert np.array_equal(res.start, b_start)
@@ -158,7 +162,7 @@ def test_bench_active_observability_sanity():
         lambda: _baseline_simulate(workload, capacity), repeats=3
     )
     t_obs, res = _best_of(
-        lambda: simulate(
+        lambda: simulate_reference(
             workload,
             capacity,
             "fcfs",

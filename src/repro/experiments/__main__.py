@@ -46,14 +46,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="also write <exp>.txt and <exp>.json into DIR",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("easy", "fast"),
-        default="easy",
-        help="engine implementation for experiments that take it: easy = "
-        "readable reference, fast = vectorized repro.sched.fast with "
-        "bit-identical results (docs/PERFORMANCE.md)",
-    )
     runner = parser.add_argument_group("parallel runner (docs/PARALLELISM.md)")
     runner.add_argument(
         "--jobs",
@@ -135,9 +127,10 @@ def main(argv: list[str] | None = None) -> int:
     tracing.add_argument(
         "--fine-spans",
         action="store_true",
-        help="record the engines' per-scheduling-round spans (policy sort, "
-        "backfill scan, event drain); detailed but can slow the sweep by "
-        "tens of percent — the default records coarse cell/simulate spans",
+        help="record per-scheduling-round spans (policy sort, backfill "
+        "scan, event drain); cells then run on the readable loops, which "
+        "alone record them, so the sweep slows severalfold — the default "
+        "records coarse cell/simulate spans on the fast engines",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -202,8 +195,6 @@ def main(argv: list[str] | None = None) -> int:
                 kwargs["journal"] = args.journal
             if perf is not None and "perf" in params:
                 kwargs["perf"] = perf
-            if args.engine != "easy" and "engine" in params:
-                kwargs["engine"] = args.engine
             result = run_experiment(exp_id, **kwargs)
         except KeyError as exc:
             print(exc, file=sys.stderr)

@@ -12,8 +12,6 @@ Maximum-likelihood fit via L-BFGS on the standard Tobit log-likelihood:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import norm
 
 from .base import check_X, check_Xy
 from .linear import LinearRegression
@@ -46,6 +44,11 @@ class TobitRegressor:
         bound).  With no censoring the model reduces to OLS with a Gaussian
         noise estimate; OLS is also the optimizer's warm start.
         """
+        # scipy is imported here, not at module level: ``import repro``
+        # reaches this module, and scipy would triple its import time
+        from scipy.optimize import minimize
+        from scipy.stats import norm
+
         X, y = check_Xy(X, y)
         n, d = X.shape
         if censored is None:
@@ -106,6 +109,8 @@ class TobitRegressor:
     def predict_quantile(self, X: np.ndarray, q: float = 0.75) -> np.ndarray:
         """Upper-quantile prediction — the Fan et al. trick for trading a
         little accuracy for a much lower underestimation rate."""
+        from scipy.stats import norm
+
         if not 0.0 < q < 1.0:
             raise ValueError("q must be in (0, 1)")
         return self.predict(X) + self.sigma_ * norm.ppf(q)

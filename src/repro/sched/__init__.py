@@ -1,5 +1,13 @@
 """Discrete-event cluster scheduling simulator (SchedGym equivalent).
 
+There is one production engine per semantics: :func:`simulate` runs the
+vectorized :func:`simulate_fast` (EASY family) or
+:func:`simulate_fast_with_faults` (fault injection), and conservative
+backfilling runs through :func:`simulate_fast_conservative`.  The
+readable loops (:func:`simulate_reference`, :func:`simulate_with_faults`,
+:func:`simulate_conservative`) stay as their bit-identical specifications
+and serve instrumented runs only they can record (docs/PERFORMANCE.md).
+
 The engines here are performance-oriented (event heaps, incremental
 free-core ledgers, vectorized ranking).  Their correctness is guarded by
 :mod:`repro.testkit`: a deliberately simple O(n²) reference scheduler
@@ -12,7 +20,7 @@ a differential workload fuzzer with reproducer shrinking
 from .backfill import EASY, NO_BACKFILL, BackfillConfig, adaptive_relaxed, relaxed
 from .cluster import Cluster
 from .conservative import simulate_conservative
-from .engine import SimResult, simulate
+from .engine import SimResult, simulate, simulate_reference
 from .export import result_to_trace
 from .fast import simulate_fast
 from .fast_conservative import simulate_fast_conservative
@@ -47,6 +55,7 @@ from .virtual import (
 
 __all__ = [
     "simulate",
+    "simulate_reference",
     "simulate_fast",
     "simulate_fast_conservative",
     "simulate_fast_with_faults",

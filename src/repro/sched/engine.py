@@ -1,5 +1,11 @@
 """Discrete-event batch-scheduling simulator.
 
+:func:`simulate` is the entry point every run goes through; it hands the
+run to the vectorized engine of its semantics (:mod:`repro.sched.fast`,
+:mod:`repro.sched.fast_faults`).  :func:`simulate_reference` is the
+readable EASY-family loop those engines are bit-identical to, kept as
+their differential specification and as the fine-profiled fallback.
+
 Event-driven (no time stepping): the only events are job submissions and job
 completions, kept in sorted order / a heap.  After draining the events at the
 current instant, the scheduler runs: serve the queue in policy order, give
@@ -32,7 +38,7 @@ from .cluster import Cluster
 from .job import SimWorkload
 from .policies import Policy, get_policy
 
-__all__ = ["SimResult", "simulate", "USAGE_EPS"]
+__all__ = ["SimResult", "simulate", "simulate_reference", "USAGE_EPS"]
 
 #: Fair-share usage entries that decay below this are dropped entirely.
 #: Usage is credited in core-seconds (>= 1 for any real job), so reaching
@@ -117,7 +123,6 @@ def simulate(
     tracer=None,
     metrics=None,
     profiler=None,
-    engine: str = "easy",
 ):
     """Run the scheduler over a workload and return per-job start times.
 
@@ -140,72 +145,69 @@ def simulate(
         :mod:`repro.sched.predictive`).
     faults:
         Optional :class:`~repro.sched.faults.FaultConfig`.  When given,
-        the run is delegated to
-        :func:`~repro.sched.faults.simulate_with_faults` and returns its
-        :class:`~repro.sched.faults.FaultSimResult` (which reduces to
-        this engine's behaviour for a null config).
+        the run returns a :class:`~repro.sched.faults.FaultSimResult`
+        (which reduces to this engine's behaviour for a null config).
     tracer:
         Optional :class:`~repro.obs.Tracer` receiving the decision log.
     metrics:
         Optional :class:`~repro.obs.Metrics` registry.
     profiler:
         Optional :class:`~repro.obs.Profiler` timing the hot paths.
-    engine:
-        ``"easy"`` (default) runs this readable reference implementation;
-        ``"fast"`` dispatches to the bit-identical vectorized
-        structure-of-arrays engine (:mod:`repro.sched.fast`,
-        docs/PERFORMANCE.md).  The fast engine supports ``profiler``,
-        ``tracer`` (via columnar recording that decodes to the identical
-        event stream — see :mod:`repro.obs.columnar`), ``metrics``, and
-        ``faults`` (via :mod:`repro.sched.fast_faults`, bit-identical to
-        the reference fault engine).
-    """
-    if engine not in ("easy", "fast"):
-        raise ValueError(f"unknown engine {engine!r}; expected 'easy' or 'fast'")
-    if engine == "fast":
-        if faults is not None:
-            from .fast_faults import simulate_fast_with_faults
 
-            return simulate_fast_with_faults(
-                workload,
-                capacity,
-                policy,
-                backfill,
-                faults,
-                track_queue=track_queue,
-                kill_at_walltime=kill_at_walltime,
-                tracer=tracer,
-                metrics=metrics,
-                profiler=profiler,
-            )
+    Every run takes the vectorized engine of its semantics —
+    :func:`~repro.sched.fast.simulate_fast`, or
+    :func:`~repro.sched.fast_faults.simulate_fast_with_faults` with
+    ``faults`` — which are bit-identical to the readable loops
+    (docs/PERFORMANCE.md).  The one exception is a fine-grained
+    ``profiler`` (``profiler.fine``): only the readable loops
+    (:func:`simulate_reference` and
+    :func:`~repro.sched.faults.simulate_with_faults`) record the
+    per-round ``event_drain`` / ``policy_sort`` / ``backfill_scan``
+    spans, so such a run is served by them, with the same results.
+    """
+    readable = profiler is not None and profiler.fine
+    if faults is None:
         from .fast import simulate_fast
 
-        return simulate_fast(
-            workload,
-            capacity,
-            policy,
-            backfill,
-            track_queue=track_queue,
-            kill_at_walltime=kill_at_walltime,
-            tracer=tracer,
-            metrics=metrics,
-            profiler=profiler,
-        )
-    if faults is not None:
+        run = simulate_reference if readable else simulate_fast
+        fault_args = ()
+    else:
+        from .fast_faults import simulate_fast_with_faults
         from .faults import simulate_with_faults
 
-        return simulate_with_faults(
-            workload,
-            capacity,
-            policy,
-            backfill,
-            faults,
-            track_queue=track_queue,
-            kill_at_walltime=kill_at_walltime,
-            tracer=tracer,
-            metrics=metrics,
-            profiler=profiler,
-        )
+        run = simulate_with_faults if readable else simulate_fast_with_faults
+        fault_args = (faults,)
+    return run(
+        workload,
+        capacity,
+        policy,
+        backfill,
+        *fault_args,
+        track_queue=track_queue,
+        kill_at_walltime=kill_at_walltime,
+        tracer=tracer,
+        metrics=metrics,
+        profiler=profiler,
+    )
+
+
+def simulate_reference(
+    workload: SimWorkload,
+    capacity: int,
+    policy: Policy | str = "fcfs",
+    backfill: BackfillConfig = EASY,
+    track_queue: bool = False,
+    kill_at_walltime: bool = False,
+    tracer=None,
+    metrics=None,
+    profiler=None,
+) -> SimResult:
+    """The readable EASY-family loop: the specification
+    :func:`~repro.sched.fast.simulate_fast` is tested against, and the
+    engine :func:`simulate` hands fine-profiled runs to (only this loop
+    records per-round spans).  Same parameters as :func:`simulate`,
+    without ``faults``.
+    """
     if isinstance(policy, str):
         policy = get_policy(policy)
     n = workload.n

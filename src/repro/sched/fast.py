@@ -46,13 +46,13 @@ same sequence of starts.  Fair-share is the one policy whose scores change
 *inside* a round (usage credits accrue per start), so it re-ranks after
 every served head exactly like the reference.  All arithmetic happens on
 the same IEEE-754 doubles in the same order; the differential fuzz suite
-(``repro fuzz --engine fast``) and ``tests/test_fast_engine.py`` pin the
-results — and the decoded event streams — bit-exact against the reference
-and the O(n²) oracle.
+(``repro fuzz``) and ``tests/test_fast_engine.py`` pin the results — and
+the decoded event streams — bit-exact against the reference and the
+O(n²) oracle.
 
-The reference engine stays the readable specification (and the only one
-with fault injection); select this one with ``simulate(engine="fast")`` or
-``repro simulate --engine fast``.
+This is the production EASY-family engine: :func:`repro.sched.simulate`
+runs it for every run except fine-profiled ones, which the readable
+reference loop (:func:`repro.sched.engine.simulate_reference`) serves.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def simulate_fast(
     metrics=None,
     profiler=None,
 ) -> SimResult:
-    """Vectorized, bit-identical replacement for ``simulate(engine="easy")``.
+    """Vectorized, bit-identical replacement for ``simulate_reference``.
 
     Accepts the same workload/policy/backfill arguments as
     :func:`repro.sched.engine.simulate` and returns the same

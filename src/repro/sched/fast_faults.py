@@ -41,9 +41,10 @@ uses:
   the reference fault engine never prunes, and ``0.5**(dt/half_life)``
   products must see the same operand history to match bitwise.
 
+This is the production fault engine (``simulate(faults=...)``).
 Instrumented runs (``tracer=`` / ``metrics=``) delegate to the reference
 loop — identical results by the bit-identity contract, enforced by
-``repro fuzz --engine fast-faults`` and ``tests/test_fast_engine.py``;
+``repro fuzz`` and ``tests/test_fast_engine.py``;
 ``profiler=`` gets coarse spans in the fast path.
 """
 

@@ -42,6 +42,17 @@ class SimWorkload:
         for name in ("cores", "runtime", "walltime", "user", "status"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
+        # the one input boundary every engine shares: NaN/inf times would
+        # hang the readable loops and silently mis-schedule the vectorized
+        # ones, so reject them here, naming the field
+        for name in ("submit", "runtime", "walltime"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name}: non-finite values (NaN or inf)")
+        cores = np.asarray(self.cores)
+        if cores.dtype.kind not in "iu" and not np.all(
+            np.isfinite(cores) & (cores == np.floor(cores))
+        ):
+            raise ValueError("cores: non-integral core requests")
         if n and np.any(np.diff(self.submit) < 0):
             raise ValueError("submit times must be sorted ascending")
         if np.any(self.runtime < 0):

@@ -27,7 +27,6 @@ golden tests (``tests/test_goldens.py``) pin end-to-end experiment output.
 
 from .chaos import NO_CHAOS, ChaosConfig, ChaosError
 from .fuzz import (
-    ENGINE_IMPLS,
     FUZZ_FAULT_CONFIGS,
     FUZZ_POLICIES,
     Divergence,
@@ -68,7 +67,6 @@ __all__ = [
     "FuzzPolicy",
     "FUZZ_POLICIES",
     "FUZZ_FAULT_CONFIGS",
-    "ENGINE_IMPLS",
     "FuzzReport",
     "Divergence",
     "check_case",

@@ -10,14 +10,14 @@ the optimized engines produce **bit-identical** schedules to the
 :mod:`repro.testkit.oracle`, while also passing the
 :mod:`repro.testkit.invariants` battery.
 
-Four engine implementations face the differential (:data:`ENGINE_IMPLS`):
-the readable ``reference``, the vectorized ``fast`` rewrite, the
-``fast-conservative`` profile twin, and ``fast-faults`` — which swaps the
-oracle for the reference fault engine and diffs complete
-:class:`~repro.sched.FaultSimResult` objects over the
-:data:`FUZZ_FAULT_CONFIGS` matrix (node-failure bursts, retry storms,
-checkpointed restarts), including the fault invariant battery on both
-sides.
+Every case runs every engine that implements its configuration (see
+:func:`check_case`): the readable loop and its vectorized twin each face
+the oracle, the twin's decoded event stream is diffed against the
+readable loop's, and EASY-family configurations also run the fault
+matrix — the vectorized fault engine diffed as a complete
+:class:`~repro.sched.FaultSimResult` against the readable fault loop over
+:data:`FUZZ_FAULT_CONFIGS` (node-failure bursts, retry storms,
+checkpointed restarts), with the fault invariant battery on both sides.
 
 On a divergence the failing workload is *shrunk* to a minimal reproducer:
 
@@ -51,9 +51,12 @@ from ..sched import (
     BackfillConfig,
     FaultConfig,
     SimWorkload,
-    simulate,
     simulate_conservative,
+    simulate_fast,
     simulate_fast_conservative,
+    simulate_fast_with_faults,
+    simulate_reference,
+    simulate_with_faults,
 )
 from ..sched.engine import SimResult
 from ..traces.schema import Trace
@@ -65,7 +68,6 @@ __all__ = [
     "FuzzPolicy",
     "FUZZ_POLICIES",
     "FUZZ_FAULT_CONFIGS",
-    "ENGINE_IMPLS",
     "Divergence",
     "FuzzReport",
     "random_workload",
@@ -74,12 +76,6 @@ __all__ = [
     "fuzz",
     "workload_to_trace",
 ]
-
-#: production implementations a campaign can put under test.  Each fast
-#: twin covers its own engine family: ``fast`` and ``fast-faults`` run
-#: EASY-family configurations, ``fast-conservative`` runs the
-#: conservative configuration (see :meth:`FuzzPolicy.supports_impl`).
-ENGINE_IMPLS = ("reference", "fast", "fast-conservative", "fast-faults")
 
 #: default cluster size for fuzzed workloads — small enough that blocked
 #: heads and backfill opportunities are frequent
@@ -92,66 +88,38 @@ class FuzzPolicy:
 
     name: str
     policy: str  #: queue policy (oracle must know it: fcfs / sjf)
-    engine: str  #: "easy" or "conservative"
+    semantics: str  #: "easy" or "conservative"
     backfill: BackfillConfig = EASY
 
-    def supports_impl(self, impl: str) -> bool:
-        """Whether ``impl`` can run this configuration.
-
-        ``reference`` runs everything; each vectorized twin covers its
-        own engine family: ``fast`` and ``fast-faults`` the EASY family,
-        ``fast-conservative`` the conservative configuration.
-        """
-        if impl == "reference":
-            return True
-        if impl == "fast-conservative":
-            return self.engine == "conservative"
-        return self.engine != "conservative"
-
-    def run_engine(
-        self, workload: SimWorkload, capacity: int, impl: str = "reference"
-    ) -> SimResult:
-        """The production engine's schedule for this configuration.
-
-        ``impl`` selects which production implementation faces the oracle:
-        ``"reference"`` is the readable per-job engine, ``"fast"`` the
-        vectorized :mod:`repro.sched.fast` rewrite (EASY family only) and
-        ``"fast-conservative"`` the vectorized
-        :mod:`repro.sched.fast_conservative` twin.  (``"fast-faults"``
-        compares the two *fault* engines over a config matrix rather than
-        producing one schedule — :func:`check_case` handles it directly.)
-        """
-        if impl not in ENGINE_IMPLS:
-            raise ValueError(
-                f"unknown engine impl {impl!r}; expected one of {ENGINE_IMPLS}"
-            )
-        if not self.supports_impl(impl):
-            raise ValueError(
-                f"configuration {self.name!r} has no {impl!r} implementation"
-            )
-        if impl == "fast-faults":
-            raise ValueError(
-                "impl 'fast-faults' diffs the fault engines over "
-                "FUZZ_FAULT_CONFIGS; run it through check_case"
-            )
-        if self.engine == "conservative":
-            if impl == "fast-conservative":
-                return simulate_fast_conservative(
+    def run_engines(
+        self, workload: SimWorkload, capacity: int
+    ) -> dict[str, SimResult]:
+        """Every engine implementing this configuration, by name: the
+        readable loop (``"reference"``) and its vectorized twin
+        (``"fast"``, the production engine)."""
+        if self.semantics == "conservative":
+            return {
+                "reference": simulate_conservative(
                     workload, capacity, self.policy
-                )
-            return simulate_conservative(workload, capacity, self.policy)
-        return simulate(
-            workload,
-            capacity,
-            self.policy,
-            self.backfill,
-            engine="fast" if impl == "fast" else "easy",
-        )
+                ),
+                "fast": simulate_fast_conservative(
+                    workload, capacity, self.policy
+                ),
+            }
+        return {
+            "reference": simulate_reference(
+                workload, capacity, self.policy, self.backfill
+            ),
+            "fast": simulate_fast(
+                workload, capacity, self.policy, self.backfill
+            ),
+        }
 
     def run_oracle(self, workload: SimWorkload, capacity: int) -> SimResult:
         """The reference oracle's schedule for this configuration."""
         return oracle_simulate(
-            workload, capacity, self.policy, self.backfill, engine=self.engine
+            workload, capacity, self.policy, self.backfill,
+            semantics=self.semantics,
         )
 
     def firm_promises(self, workload: SimWorkload) -> bool:
@@ -164,7 +132,7 @@ class FuzzPolicy:
         """
         if self.policy != "fcfs":
             return False
-        if self.engine == "conservative":
+        if self.semantics == "conservative":
             return bool(np.all(workload.walltime == workload.runtime))
         return self.backfill.relax_base == 0.0
 
@@ -181,7 +149,7 @@ FUZZ_POLICIES: dict[str, FuzzPolicy] = {
     )
 }
 
-#: fault configurations every ``fast-faults`` case sweeps.  Deterministic
+#: fault configurations every EASY-family case sweeps.  Deterministic
 #: (fixed seeds) so a failure reproduces from ``(seed, case)`` alone, and
 #: chosen against the fuzzed workload shapes: runtimes are integers below
 #: 200s, so MTBF 40s forces mid-run node-failure bursts and checkpoint
@@ -211,7 +179,7 @@ FUZZ_FAULT_CONFIGS: tuple[FaultConfig, ...] = (
     ),
 )
 
-#: every array field of a ``FaultSimResult`` — the fast-faults diff is
+#: every array field of a ``FaultSimResult`` — the fault-engine diff is
 #: whole-result, attempt and node logs included
 _FAULT_FIELDS = (
     "start", "end", "status", "attempts", "promised", "backfilled",
@@ -291,12 +259,13 @@ def _diff_streams(
 ) -> list[str]:
     """Fast-vs-reference event-stream differential (byte-level).
 
-    Replays the case through both engines with tracers attached — the
-    reference emitting live, the fast engine through columnar recording —
-    and compares the streams as canonical JSON lines, so a wrong field,
-    value, key order or event ordering all surface.  The one documented
-    difference, ``run_start``'s ``engine`` provenance field, is masked.
-    The decoded fast stream must also pass the offline event audit.
+    Replays the case through both EASY-family engines with tracers
+    attached — the readable loop emitting live, the fast engine through
+    columnar recording — and compares the streams as canonical JSON lines,
+    so a wrong field, value, key order or event ordering all surface.  The
+    one documented difference, ``run_start``'s ``engine`` provenance
+    field, is masked.  The decoded fast stream must also pass the offline
+    event audit.
     """
     import json
 
@@ -304,15 +273,11 @@ def _diff_streams(
     from ..obs.columnar import ColumnarRecorder
 
     ref = RingBufferTracer(capacity=1 << 20)
-    simulate(
-        workload, capacity, policy.policy, policy.backfill,
-        tracer=ref, engine="easy",
+    simulate_reference(
+        workload, capacity, policy.policy, policy.backfill, tracer=ref
     )
     rec = ColumnarRecorder()
-    simulate(
-        workload, capacity, policy.policy, policy.backfill,
-        tracer=rec, engine="fast",
-    )
+    simulate_fast(workload, capacity, policy.policy, policy.backfill, tracer=rec)
     fast_events = rec.to_events()
     findings = [f"fast stream audit: {v}" for v in check_events(fast_events)]
 
@@ -341,24 +306,21 @@ def _diff_streams(
     return findings
 
 
-def _check_fault_case(
+def _check_faults(
     workload: SimWorkload, capacity: int, policy: FuzzPolicy
 ) -> list[str]:
-    """Findings for one fast-faults case: the fault-engine differential.
+    """Findings for the fault matrix of one EASY-family case.
 
     The oracle knows nothing about faults, so the authority here is the
-    readable reference fault engine: for every configuration in
+    readable fault loop: for every configuration in
     :data:`FUZZ_FAULT_CONFIGS` the vectorized twin must reproduce the
     *whole* :class:`~repro.sched.FaultSimResult` bit for bit — schedule,
     attempt log, node failure/repair logs and queue samples — and both
     results must pass the fault invariant battery
     (:func:`repro.testkit.invariants.check_fault_result`).  The
     zero-fault configuration must additionally match the plain fast
-    engine, PR 1's ``NO_FAULTS`` reduction guarantee restated for the
-    fast path.
+    engine (the ``NO_FAULTS`` reduction guarantee).
     """
-    from ..sched import simulate_fast_with_faults, simulate_with_faults
-
     findings: list[str] = []
     for idx, cfg in enumerate(FUZZ_FAULT_CONFIGS):
         ref = simulate_with_faults(
@@ -386,9 +348,9 @@ def _check_fault_case(
             for v in invariants.check_fault_result(ref)
         ]
         if cfg is NO_FAULTS:
-            plain = simulate(
+            plain = simulate_fast(
                 workload, capacity, policy.policy, policy.backfill,
-                track_queue=True, engine="fast",
+                track_queue=True,
             )
             for name in (
                 "start", "promised", "backfilled",
@@ -398,44 +360,42 @@ def _check_fault_case(
                     getattr(fast, name), getattr(plain, name), equal_nan=True
                 ):
                     findings.append(
-                        f"zero-fault {name}: fast-faults != plain fast engine"
+                        f"zero-fault {name}: fast fault engine != plain fast engine"
                     )
     return findings
 
 
 def check_case(
-    workload: SimWorkload,
-    capacity: int,
-    policy: FuzzPolicy,
-    impl: str = "reference",
+    workload: SimWorkload, capacity: int, policy: FuzzPolicy
 ) -> list[str]:
-    """All findings for one (workload, configuration, impl) case.
+    """All findings for one (workload, configuration) case.
 
-    Combines the engine-vs-oracle differential with the invariant battery
-    on *both* schedules — a bug in the oracle itself surfaces as an
-    ``oracle:``-prefixed invariant violation rather than silently blessing
-    a matching engine bug.  The ``fast`` impl additionally runs the
-    fast-vs-reference event-stream differential, so a divergence in the
-    decoded columnar trace shrinks like any schedule divergence.  The
-    ``fast-faults`` impl swaps the oracle for the reference fault engine
-    and diffs whole fault results over :data:`FUZZ_FAULT_CONFIGS`.
+    Every engine implementing the configuration
+    (:meth:`FuzzPolicy.run_engines`) faces the oracle, and the invariant
+    battery runs on *every* schedule — the oracle's included, so a bug in
+    the oracle itself surfaces as an ``oracle:``-prefixed violation rather
+    than silently blessing a matching engine bug.  EASY-family
+    configurations add the fast-vs-reference event-stream differential
+    and the fault matrix, so a divergence in a decoded trace or a fault
+    result shrinks like any schedule divergence.
     """
-    if impl == "fast-faults":
-        return _check_fault_case(workload, capacity, policy)
-    engine_res = policy.run_engine(workload, capacity, impl=impl)
     oracle_res = policy.run_oracle(workload, capacity)
     firm = policy.firm_promises(workload)
-    findings = _diff_results(engine_res, oracle_res)
-    findings += [
-        f"engine: {v}"
-        for v in invariants.check_result(engine_res, firm_promises=firm)
-    ]
+    results = policy.run_engines(workload, capacity)
+    findings: list[str] = []
+    for name, res in results.items():
+        findings += [f"{name}: {d}" for d in _diff_results(res, oracle_res)]
+        findings += [
+            f"{name}: {v}"
+            for v in invariants.check_result(res, firm_promises=firm)
+        ]
     findings += [
         f"oracle: {v}"
         for v in invariants.check_result(oracle_res, firm_promises=firm)
     ]
-    if impl == "fast" and policy.supports_impl("fast"):
+    if policy.semantics != "conservative":
         findings += _diff_streams(workload, capacity, policy)
+        findings += _check_faults(workload, capacity, policy)
     return findings
 
 
@@ -566,8 +526,7 @@ class FuzzReport:
     capacity: int
     policies: tuple[str, ...]
     cases: int  #: workloads generated
-    runs: int  #: engine-vs-oracle comparisons executed
-    engine_impl: str = "reference"  #: production impl under test
+    runs: int  #: (workload, configuration) cases checked on every engine
     divergence: Divergence | None = None
 
     @property
@@ -576,7 +535,7 @@ class FuzzReport:
 
     def describe(self) -> str:
         head = (
-            f"fuzz[{self.engine_impl}]: {self.cases} workload(s) x "
+            f"fuzz: {self.cases} workload(s) x "
             f"{len(self.policies)} policy configuration(s) = {self.runs} "
             f"differential run(s) "
             f"(seed {self.seed}, capacity {self.capacity})"
@@ -593,41 +552,19 @@ def fuzz(
     capacity: int = DEFAULT_CAPACITY,
     max_jobs: int = 12,
     shrink_evals: int = 3000,
-    engine_impl: str = "reference",
 ) -> FuzzReport:
     """Run a differential campaign: ``budget`` workloads per policy.
 
     Stops (and shrinks) at the first failing case; a clean report means
-    every generated workload scheduled bit-identically on engine and
-    oracle and passed every invariant, for every named configuration.
-
-    ``engine_impl`` picks the production implementation under test (one
-    of :data:`ENGINE_IMPLS`).  ``"reference"`` and ``"fast"`` face the
-    O(n²) oracle; ``"fast-conservative"`` faces it through the reference
-    conservative engine's profile semantics and only accepts the
-    ``conservative`` configuration; ``"fast-faults"`` swaps the oracle
-    for the reference fault engine and diffs whole
-    :class:`~repro.sched.FaultSimResult` objects over
-    :data:`FUZZ_FAULT_CONFIGS`.
+    every generated workload scheduled bit-identically on every engine
+    and the oracle and passed every invariant, for every named
+    configuration (see :func:`check_case` for what one case runs).
     """
     names = tuple(policies)
     unknown = [p for p in names if p not in FUZZ_POLICIES]
     if unknown:
         raise KeyError(
             f"unknown fuzz policies {unknown}; available: {sorted(FUZZ_POLICIES)}"
-        )
-    if engine_impl not in ENGINE_IMPLS:
-        raise ValueError(
-            f"unknown engine impl {engine_impl!r}; "
-            f"expected one of {ENGINE_IMPLS}"
-        )
-    unsupported = [
-        p for p in names if not FUZZ_POLICIES[p].supports_impl(engine_impl)
-    ]
-    if unsupported:
-        raise ValueError(
-            f"policies {unsupported} have no {engine_impl!r} implementation; "
-            "drop them or use engine_impl='reference'"
         )
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -639,14 +576,12 @@ def fuzz(
         for name in names:
             policy = FUZZ_POLICIES[name]
             runs += 1
-            findings = check_case(workload, capacity, policy, impl=engine_impl)
+            findings = check_case(workload, capacity, policy)
             if not findings:
                 continue
             shrunk, evals = shrink(
                 workload,
-                lambda w: bool(
-                    check_case(w, capacity, policy, impl=engine_impl)
-                ),
+                lambda w: bool(check_case(w, capacity, policy)),
                 max_evals=shrink_evals,
             )
             return FuzzReport(
@@ -656,7 +591,6 @@ def fuzz(
                 policies=names,
                 cases=cases,
                 runs=runs,
-                engine_impl=engine_impl,
                 divergence=Divergence(
                     policy=name,
                     seed=seed,
@@ -674,7 +608,6 @@ def fuzz(
         policies=names,
         cases=cases,
         runs=runs,
-        engine_impl=engine_impl,
     )
 
 

@@ -157,14 +157,14 @@ def oracle_simulate(
     capacity: int,
     policy: str = "fcfs",
     backfill: BackfillConfig = EASY,
-    engine: str = "easy",
+    semantics: str = "easy",
 ) -> SimResult:
     """Schedule ``workload`` with the reference algorithm.
 
-    Parameters mirror the production entry points: ``engine="easy"`` is the
-    counterpart of :func:`repro.sched.simulate` (honouring any
+    Parameters mirror the production entry points: ``semantics="easy"`` is
+    the counterpart of :func:`repro.sched.simulate` (honouring any
     :class:`~repro.sched.BackfillConfig`, including disabled backfilling
-    and the relaxed/adaptive modes), ``engine="conservative"`` the
+    and the relaxed/adaptive modes), ``semantics="conservative"`` the
     counterpart of :func:`repro.sched.simulate_conservative` (which takes
     no backfill config).  Returns a regular :class:`SimResult` so the
     invariant library and metrics apply unchanged.
@@ -173,8 +173,10 @@ def oracle_simulate(
         raise KeyError(
             f"oracle knows policies {sorted(ORACLE_POLICIES)}, not {policy!r}"
         )
-    if engine not in ("easy", "conservative"):
-        raise ValueError(f"engine must be 'easy' or 'conservative', not {engine!r}")
+    if semantics not in ("easy", "conservative"):
+        raise ValueError(
+            f"semantics must be 'easy' or 'conservative', not {semantics!r}"
+        )
     n = workload.n
     if n == 0:
         raise ValueError("empty workload")
@@ -258,7 +260,7 @@ def oracle_simulate(
         for j in started:
             pending.remove(j)
 
-    schedule = schedule_easy if engine == "easy" else schedule_conservative
+    schedule = schedule_easy if semantics == "easy" else schedule_conservative
 
     while next_submit < n or running:
         t_sub = submit[next_submit] if next_submit < n else math.inf
@@ -280,5 +282,5 @@ def oracle_simulate(
         capacity=capacity,
         start=start,
         promised=promised,
-        backfilled=backfilled if engine == "easy" else np.array([], dtype=bool),
+        backfilled=backfilled if semantics == "easy" else np.array([], dtype=bool),
     )

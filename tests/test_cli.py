@@ -39,6 +39,36 @@ class TestCli:
         assert main(["validate", str(bad)]) == 1
         assert "oversized" in capsys.readouterr().out
 
+    def test_validate_short_row_is_a_finding(self, tmp_path, capsys):
+        """A row with too few fields is reported, not a traceback."""
+        bad = tmp_path / "short.swf"
+        bad.write_text("1 0 0 10\n")
+        assert main(["validate", str(bad)]) == 2
+        out = capsys.readouterr().out
+        assert "[malformed_swf]" in out
+        assert "expected 18 fields, got 4" in out
+
+    @pytest.mark.parametrize("cmd", ["simulate", "profile"])
+    def test_nan_submit_exits_two(self, tmp_path, capsys, cmd):
+        """A non-finite submit time is rejected at the workload boundary
+        (exit 2, the field named), in seconds rather than at the test
+        timeout."""
+        bad = tmp_path / "nan.swf"
+        rows = [
+            "1 0 0 10 1 -1 -1 1 20 -1 1 1 -1 -1 -1 -1 -1 -1",
+            "2 nan 0 10 1 -1 -1 1 20 -1 1 1 -1 -1 -1 -1 -1 -1",
+        ]
+        bad.write_text("; MaxProcs: 4\n" + "\n".join(rows) + "\n")
+        assert main([cmd, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid workload" in err and "submit" in err
+
+    def test_simulate_short_row_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "short.swf"
+        bad.write_text("1 0 0 10\n")
+        assert main(["simulate", str(bad)]) == 2
+        assert "expected 18 fields" in capsys.readouterr().err
+
     def test_analyze_summary(self, swf_path, capsys):
         assert main(["analyze", str(swf_path)]) == 0
         out = capsys.readouterr().out

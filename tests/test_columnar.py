@@ -49,8 +49,8 @@ from repro.sched import (
     SimWorkload,
     adaptive_relaxed,
     relaxed,
-    simulate,
     simulate_fast,
+    simulate_reference,
     simulate_with_faults,
 )
 from repro.testkit import random_workload
@@ -96,7 +96,7 @@ def _canon(events) -> list[str]:
 
 def _reference_stream(wl, capacity, policy, backfill):
     tracer = RingBufferTracer(capacity=1 << 20)
-    simulate(wl, capacity, policy, backfill, tracer=tracer)
+    simulate_reference(wl, capacity, policy, backfill, tracer=tracer)
     return list(tracer.events)
 
 
@@ -241,7 +241,7 @@ class TestFastStreamIdentity:
         wl = _workload(n=100, seed=11)
         ref_path, fast_path = tmp_path / "ref.jsonl", tmp_path / "fast.jsonl"
         with JsonlTracer(ref_path) as tracer:
-            simulate(wl, CAPACITY, "sjf", EASY, tracer=tracer)
+            simulate_reference(wl, CAPACITY, "sjf", EASY, tracer=tracer)
         with JsonlTracer(fast_path) as tracer:
             simulate_fast(wl, CAPACITY, "sjf", EASY, tracer=tracer)
         ref_lines = ref_path.read_text().splitlines()
@@ -253,7 +253,7 @@ class TestFastStreamIdentity:
         wl = _workload(n=150, seed=7)
         for policy, bf in (("fcfs", EASY), ("sjf", relaxed(0.5))):
             m_ref, m_fast = Metrics(), Metrics()
-            simulate(wl, CAPACITY, policy, bf, metrics=m_ref)
+            simulate_reference(wl, CAPACITY, policy, bf, metrics=m_ref)
             simulate_fast(wl, CAPACITY, policy, bf, metrics=m_fast)
             assert m_fast.to_dict() == m_ref.to_dict(), policy
 
@@ -396,7 +396,6 @@ class TestCli:
             main(
                 [
                     "simulate", str(swf_path),
-                    "--engine", "fast",
                     "--trace-out", str(npz),
                 ]
             )
@@ -415,7 +414,6 @@ class TestCli:
             main(
                 [
                     "simulate", str(swf_path),
-                    "--engine", "fast",
                     "--trace-out", str(jsonl),
                 ]
             )

@@ -18,9 +18,12 @@ suite enforces that contract:
   the fault battery's conservation sweep over failed/restarted attempts;
 * the satellite bugfixes: fair-share usage pruning (``USAGE_EPS``) and
   the normalized ``queue_samples`` / fault-array dtypes;
-* the dispatch/wiring surfaces: ``simulate(engine=...)`` (including the
-  ``faults=`` path), ``SimTask`` fingerprints, ``run_sweep``, the
-  fuzzer's ``engine_impl`` and the CLI ``--engine`` flags.
+* the wiring surfaces: ``simulate()`` dispatching every run to the fast
+  family (the ``faults=`` path included) and only fine-profiled runs to
+  the readable loops, ``run_sweep`` and the experiments' sweep cells,
+  the fuzzer's per-configuration engine set, and the CLI paths that now
+  take the fast engines (cross-checked against the readable loops that
+  ``--profile`` selects).
 """
 
 import numpy as np
@@ -43,6 +46,7 @@ from repro.sched import (
     simulate_fast,
     simulate_fast_conservative,
     simulate_fast_with_faults,
+    simulate_reference,
     simulate_with_faults,
 )
 from repro.sched.engine import USAGE_EPS
@@ -118,7 +122,7 @@ class TestFastMatchesReference:
             wl = _multi_user(random_workload(rng, capacity=CAPACITY), rng)
             for policy in ALL_POLICIES:
                 for bf_name, bf in BACKFILLS.items():
-                    ref = simulate(
+                    ref = simulate_reference(
                         wl, CAPACITY, policy, bf, track_queue=True
                     )
                     fast = simulate_fast(
@@ -132,14 +136,14 @@ class TestFastMatchesReference:
         """Burst workloads exercise compaction + the vectorized scan."""
         wl = _burst_workload()
         for policy in ("fcfs", "sjf", "wfp3", "fairshare"):
-            ref = simulate(wl, 8, policy, EASY, track_queue=True)
+            ref = simulate_reference(wl, 8, policy, EASY, track_queue=True)
             fast = simulate_fast(wl, 8, policy, EASY, track_queue=True)
             _assert_identical(ref, fast, policy)
 
     def test_kill_at_walltime(self):
         wl = _burst_workload(seed=3)
         for kill in (False, True):
-            ref = simulate(wl, 8, "sjf", EASY, kill_at_walltime=kill)
+            ref = simulate_reference(wl, 8, "sjf", EASY, kill_at_walltime=kill)
             fast = simulate_fast(wl, 8, "sjf", EASY, kill_at_walltime=kill)
             _assert_identical(ref, fast, f"kill={kill}")
             assert ref.to_dict() == fast.to_dict()
@@ -154,7 +158,9 @@ class TestFastMatchesReference:
     def test_property_bit_identical(self, seed, policy, bf, capacity):
         rng = np.random.default_rng(seed)
         wl = _multi_user(random_workload(rng, capacity=capacity), rng)
-        ref = simulate(wl, capacity, policy, BACKFILLS[bf], track_queue=True)
+        ref = simulate_reference(
+            wl, capacity, policy, BACKFILLS[bf], track_queue=True
+        )
         fast = simulate_fast(
             wl, capacity, policy, BACKFILLS[bf], track_queue=True
         )
@@ -281,9 +287,8 @@ class TestFastFaultsMatchesReference:
             rng = np.random.default_rng((89, case))
             wl = _multi_user(random_workload(rng, capacity=CAPACITY), rng)
             for policy in ("fcfs", "sjf", "fairshare"):
-                plain = simulate(
-                    wl, CAPACITY, policy, EASY, track_queue=True,
-                    engine="fast",
+                plain = simulate_fast(
+                    wl, CAPACITY, policy, EASY, track_queue=True
                 )
                 faulty = simulate_fast_with_faults(
                     wl, CAPACITY, policy, EASY, NO_FAULTS, track_queue=True
@@ -374,7 +379,7 @@ class TestUsagePruning:
             walltime=np.full(n, 900.0),
             user=np.array([0, 1, 2, 0, 1, 2, 2, 1, 0, 2, 1, 0]),
         )
-        ref = simulate(wl, 8, "fairshare", EASY)
+        ref = simulate_reference(wl, 8, "fairshare", EASY)
         fast = simulate_fast(wl, 8, "fairshare", EASY)
         _assert_identical(ref, fast, "pruned fairshare")
         # with usage fully decayed, the second burst is a clean slate:
@@ -402,10 +407,10 @@ class TestQueueSampleDtypes:
         rng = np.random.default_rng(0)
         wl = random_workload(rng, capacity=CAPACITY)
         for res in (
-            simulate(wl, CAPACITY, "fcfs", EASY, track_queue=True),
+            simulate_reference(wl, CAPACITY, "fcfs", EASY, track_queue=True),
             simulate_fast(wl, CAPACITY, "fcfs", EASY, track_queue=True),
             simulate_conservative(wl, CAPACITY, "fcfs", track_queue=True),
-            simulate(wl, CAPACITY, "fcfs", EASY),  # default factories
+            simulate_reference(wl, CAPACITY, "fcfs", EASY),  # default factories
             simulate_fast(wl, CAPACITY, "fcfs", EASY),
         ):
             self._check(res)
@@ -486,29 +491,44 @@ class TestQueueSampleDtypes:
 # dispatch + sweep wiring
 
 
+def _root_engine(profiler) -> str:
+    """The ``engine`` tag of a profiled run's root ``simulate`` span."""
+    (root,) = [
+        r for r in profiler.to_payload()["spans"] if r["name"] == "simulate"
+    ]
+    return root["args"]["engine"]
+
+
 class TestEngineDispatch:
     def _wl(self):
         return random_workload(np.random.default_rng(5), capacity=CAPACITY)
 
     def test_simulate_engine_fast_equals_direct_call(self):
+        """simulate() runs the fast engine: identical result, and the
+        stream header names it."""
+        from repro.obs import RingBufferTracer
+
         wl = self._wl()
         _assert_identical(
-            simulate(wl, CAPACITY, "sjf", EASY, engine="fast"),
+            simulate(wl, CAPACITY, "sjf", EASY),
             simulate_fast(wl, CAPACITY, "sjf", EASY),
         )
+        tracer = RingBufferTracer(capacity=1 << 16)
+        simulate(wl, CAPACITY, "sjf", EASY, tracer=tracer)
+        assert tracer.events[0]["engine"] == "fast"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            simulate(self._wl(), CAPACITY, engine="warp")
+        """The implementation knob is gone: passing it is an error, not a
+        silently ignored keyword."""
+        with pytest.raises(TypeError, match="engine"):
+            simulate(self._wl(), CAPACITY, engine="fast")
 
     def test_fast_dispatches_faults(self):
-        """simulate(engine="fast", faults=...) routes to the fault twin
-        and matches the reference fault engine bit for bit."""
+        """simulate(faults=...) routes to the fault twin and matches the
+        reference fault engine bit for bit."""
         wl = self._wl()
         cfg = FaultConfig(node_mtbf=3600.0, n_nodes=4, seed=2)
-        via_dispatch = simulate(
-            wl, CAPACITY, faults=cfg, engine="fast", track_queue=True
-        )
+        via_dispatch = simulate(wl, CAPACITY, faults=cfg, track_queue=True)
         direct = simulate_fast_with_faults(
             wl, CAPACITY, faults=cfg, track_queue=True
         )
@@ -517,6 +537,29 @@ class TestEngineDispatch:
         )
         _assert_fault_identical(via_dispatch, direct, "dispatch vs direct")
         _assert_fault_identical(via_dispatch, reference, "dispatch vs ref")
+
+    def test_fine_profiler_routes_to_readable_loop(self):
+        """Only a fine-grained profiler selects the readable loops (they
+        alone record per-round spans); a coarse one stays on the fast
+        engines.  Results are identical either way."""
+        from repro.obs import Profiler
+
+        wl = self._wl()
+        cfg = FaultConfig(node_mtbf=3600.0, n_nodes=4, seed=2)
+        for faults, readable, fast in (
+            (None, "easy", "fast"),
+            (cfg, "faults", "fast-faults"),
+        ):
+            fine, coarse = Profiler(), Profiler(fine=False)
+            a = simulate(wl, CAPACITY, "sjf", EASY, faults=faults, profiler=fine)
+            b = simulate(
+                wl, CAPACITY, "sjf", EASY, faults=faults, profiler=coarse
+            )
+            _assert_identical(a, b, f"faults={faults is not None}")
+            assert _root_engine(fine) == readable
+            assert _root_engine(coarse) == fast
+            assert "policy_sort" in fine.as_dict()["spans"]
+            assert "policy_sort" not in coarse.as_dict()["spans"]
 
     def test_fast_accepts_event_hooks(self):
         from repro.obs import Metrics, RingBufferTracer, check_events
@@ -539,63 +582,57 @@ class TestEngineDispatch:
         assert "simulate" in report
 
 
-class TestSweepWiring:
-    def test_engine_changes_fingerprint(self):
-        wl = random_workload(np.random.default_rng(6), capacity=CAPACITY)
-        easy = SimTask(label="t", workload=wl, capacity=CAPACITY)
-        fast = SimTask(
-            label="t", workload=wl, capacity=CAPACITY, engine="fast"
-        )
-        assert easy.fingerprint() != fast.fingerprint()
+def _payload(result, track_queue: bool) -> dict:
+    """The cacheable payload a sweep cell derives from ``result``."""
+    from repro.sched import compute_metrics, compute_resilience_metrics
 
+    faulty = hasattr(result, "attempt_job")
+    return {
+        "summary": result.to_dict(),
+        "metrics": compute_metrics(result).as_dict(),
+        "resilience": (
+            compute_resilience_metrics(result).as_dict() if faulty else None
+        ),
+        "max_queue": int(result.queue_samples.max()) if track_queue else None,
+    }
+
+
+class TestSweepWiring:
     def test_sweep_payloads_identical_across_engines(self):
+        """Sweep cells (fast engine) produce the payload the readable loop's
+        result yields."""
         wl = _burst_workload(n=120, seed=9)
         tasks = [
             SimTask(
-                label=f"{p}/{e}",
-                workload=wl,
-                policy=p,
-                capacity=8,
-                track_queue=True,
-                engine=e,
+                label=p, workload=wl, policy=p, capacity=8, track_queue=True
             )
             for p in ("fcfs", "sjf")
-            for e in ("easy", "fast")
         ]
-        by_label = {r.label: r for r in run_sweep(tasks)}
-        for p in ("fcfs", "sjf"):
-            easy = by_label[f"{p}/easy"]
-            fast = by_label[f"{p}/fast"]
-            assert easy.metrics == fast.metrics
-            assert easy.max_queue == fast.max_queue
-            assert easy.summary == fast.summary
-            assert easy.payload() == fast.payload()
+        for cell in run_sweep(tasks):
+            ref = simulate_reference(wl, 8, cell.label, track_queue=True)
+            assert cell.payload() == _payload(ref, track_queue=True)
 
     def test_fault_sweep_payloads_identical_across_engines(self):
-        """Fault tasks run on either engine and produce identical cached
-        payloads — the fault-array dtype normalization is what keeps the
-        serialized bytes stable across the cache round trip."""
+        """Fault cells (fast fault twin) produce the payload the readable
+        fault loop's result yields — the fault-array dtype normalization
+        is what keeps the serialized bytes stable."""
         wl = random_workload(np.random.default_rng(8), capacity=CAPACITY)
         cfg = FaultConfig(
             node_mtbf=200.0, node_mttr=50.0, n_nodes=4,
             fail_prob=0.2, max_attempts=3, seed=4,
         )
-        tasks = [
-            SimTask(
-                label=e,
-                workload=wl,
-                capacity=CAPACITY,
-                faults=cfg,
-                track_queue=True,
-                engine=e,
-            )
-            for e in ("easy", "fast")
-        ]
-        by_label = {r.label: r for r in run_sweep(tasks)}
-        assert by_label["easy"].payload() == by_label["fast"].payload()
+        task = SimTask(
+            label="f", workload=wl, capacity=CAPACITY, faults=cfg,
+            track_queue=True,
+        )
+        (cell,) = run_sweep([task])
+        ref = simulate_with_faults(
+            wl, CAPACITY, faults=cfg, track_queue=True
+        )
+        assert cell.payload() == _payload(ref, track_queue=True)
 
     def test_fault_task_round_trip_through_cache(self, tmp_path):
-        """A fast-engine fault task's payload survives the JSON cache."""
+        """A fault task's payload survives the JSON cache."""
         wl = random_workload(np.random.default_rng(9), capacity=CAPACITY)
         task = SimTask(
             label="rt",
@@ -603,7 +640,6 @@ class TestSweepWiring:
             capacity=CAPACITY,
             faults=FaultConfig(node_mtbf=300.0, n_nodes=4, seed=5),
             track_queue=True,
-            engine="fast",
         )
         cold = run_sweep([task], cache=tmp_path / "c")[0]
         warm = run_sweep([task], cache=tmp_path / "c")[0]
@@ -611,8 +647,56 @@ class TestSweepWiring:
         assert cold.payload() == warm.payload()
 
 
+class TestProductionPath:
+    """The experiments' sweep cells run the fast engines, never the
+    readable loops."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.sched.engine as engine_mod
+        import repro.sched.fast as fast_mod
+        import repro.sched.fast_faults as fast_faults_mod
+        import repro.sched.faults as faults_mod
+
+        calls: list[str] = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(fast_mod, "simulate_fast")
+        spy(fast_faults_mod, "simulate_fast_with_faults")
+        spy(engine_mod, "simulate_reference")
+        spy(faults_mod, "simulate_with_faults")
+        return calls
+
+    def test_table2_cells_run_fast(self, calls):
+        from repro.experiments import table2
+
+        table2.run(days=2, max_jobs=150)
+        assert calls and set(calls) == {"simulate_fast"}
+
+    def test_ext_policies_cells_run_fast(self, calls):
+        from repro.experiments import ext_policies
+
+        ext_policies.run(days=2, policies=("fcfs", "fairshare"), max_jobs=150)
+        assert calls and set(calls) == {"simulate_fast"}
+
+    def test_ext_resilience_cells_run_fast_faults(self, calls):
+        from repro.experiments import ext_resilience
+
+        ext_resilience.run(days=2, max_jobs=80)
+        assert len(calls) == len(ext_resilience.build_sweep(days=2, max_jobs=80))
+        assert set(calls) == {"simulate_fast_with_faults"}
+
+
 # ----------------------------------------------------------------------
-# fuzzer impl switch
+# fuzzer: every engine of a configuration per case
 
 
 class TestFuzzImpl:
@@ -620,88 +704,75 @@ class TestFuzzImpl:
         report = fuzz(
             policies=("fcfs", "sjf", "easy", "sjf-easy"),
             budget=40,
-            engine_impl="fast",
         )
         assert report.ok, report.describe()
-        assert report.engine_impl == "fast"
-        assert "fuzz[fast]" in report.describe()
+        assert report.runs == 40 * 4
+        assert "fuzz: 40 workload(s)" in report.describe()
 
     def test_fast_conservative_campaign_clean(self):
-        report = fuzz(
-            policies=("conservative",),
-            budget=30,
-            engine_impl="fast-conservative",
-        )
+        report = fuzz(policies=("conservative",), budget=30)
         assert report.ok, report.describe()
-        assert "fuzz[fast-conservative]" in report.describe()
 
     def test_fast_faults_campaign_clean(self):
-        report = fuzz(
-            policies=("fcfs", "easy"),
-            budget=6,
-            engine_impl="fast-faults",
-        )
+        report = fuzz(policies=("fcfs", "easy"), budget=6)
         assert report.ok, report.describe()
-        assert "fuzz[fast-faults]" in report.describe()
-
-    def test_fast_rejects_conservative(self):
-        with pytest.raises(ValueError, match="no 'fast' implementation"):
-            fuzz(policies=("fcfs", "conservative"), engine_impl="fast")
-        with pytest.raises(ValueError, match="conservative"):
-            FUZZ_POLICIES["conservative"].run_engine(
-                random_workload(np.random.default_rng(0)),
-                CAPACITY,
-                impl="fast",
-            )
-
-    def test_fast_conservative_rejects_easy_family(self):
-        with pytest.raises(
-            ValueError, match="no 'fast-conservative' implementation"
-        ):
-            fuzz(policies=("fcfs",), engine_impl="fast-conservative")
-
-    def test_fast_faults_rejects_conservative(self):
-        with pytest.raises(
-            ValueError, match="no 'fast-faults' implementation"
-        ):
-            fuzz(policies=("conservative",), engine_impl="fast-faults")
 
     def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine impl"):
-            fuzz(policies=("fcfs",), engine_impl="turbo")
-        with pytest.raises(ValueError, match="unknown engine impl"):
-            FUZZ_POLICIES["fcfs"].run_engine(
-                random_workload(np.random.default_rng(0)),
-                CAPACITY,
-                impl="turbo",
-            )
+        """The implementation selectors are gone from the fuzzer API."""
+        wl = random_workload(np.random.default_rng(0))
+        with pytest.raises(TypeError, match="engine_impl"):
+            fuzz(policies=("fcfs",), engine_impl="fast")
+        with pytest.raises(TypeError, match="impl"):
+            check_case(wl, CAPACITY, FUZZ_POLICIES["fcfs"], impl="fast")
 
     def test_check_case_fast(self):
         wl = random_workload(np.random.default_rng(3), capacity=CAPACITY)
-        assert check_case(wl, CAPACITY, FUZZ_POLICIES["easy"], impl="fast") == []
+        assert check_case(wl, CAPACITY, FUZZ_POLICIES["easy"]) == []
 
     def test_check_case_fast_conservative(self):
         wl = random_workload(np.random.default_rng(4), capacity=CAPACITY)
-        assert (
-            check_case(
-                wl, CAPACITY, FUZZ_POLICIES["conservative"],
-                impl="fast-conservative",
-            )
-            == []
-        )
+        assert check_case(wl, CAPACITY, FUZZ_POLICIES["conservative"]) == []
 
     def test_check_case_fast_faults(self):
         wl = random_workload(np.random.default_rng(5), capacity=CAPACITY)
-        assert (
-            check_case(
-                wl, CAPACITY, FUZZ_POLICIES["sjf-easy"], impl="fast-faults"
+        assert check_case(wl, CAPACITY, FUZZ_POLICIES["sjf-easy"]) == []
+
+    def test_check_case_runs_every_engine(self, monkeypatch):
+        """One EASY-family case runs both schedulers, both traced
+        streams and both fault engines; a conservative case runs both
+        conservative engines."""
+        import importlib
+
+        # (the package re-exports the fuzz() function under the same name)
+        fuzz_mod = importlib.import_module("repro.testkit.fuzz")
+        calls: list[str] = []
+        for name in (
+            "simulate_reference", "simulate_fast", "simulate_with_faults",
+            "simulate_fast_with_faults", "simulate_conservative",
+            "simulate_fast_conservative",
+        ):
+            real = getattr(fuzz_mod, name)
+            monkeypatch.setattr(
+                fuzz_mod, name,
+                lambda *a, _n=name, _r=real, **k: calls.append(_n) or _r(*a, **k),
             )
-            == []
-        )
+        wl = random_workload(np.random.default_rng(6), capacity=CAPACITY)
+        assert check_case(wl, CAPACITY, FUZZ_POLICIES["easy"]) == []
+        n_cfg = len(FUZZ_FAULT_CONFIGS)
+        assert calls.count("simulate_reference") == 2  # schedule + stream
+        assert calls.count("simulate_fast") == 3  # + zero-fault identity
+        assert calls.count("simulate_with_faults") == n_cfg
+        assert calls.count("simulate_fast_with_faults") == n_cfg
+        calls.clear()
+        assert check_case(wl, CAPACITY, FUZZ_POLICIES["conservative"]) == []
+        assert sorted(calls) == [
+            "simulate_conservative", "simulate_fast_conservative",
+        ]
 
 
 # ----------------------------------------------------------------------
-# CLI
+# CLI: every run takes the fast engines; --profile takes the readable
+# loops, so each pair below is a fast-vs-reference differential
 
 
 @pytest.fixture(scope="module")
@@ -715,121 +786,88 @@ def swf_path(tmp_path_factory):
 
 class TestCliEngineFlag:
     def test_simulate_fast_matches_easy_table(self, swf_path, capsys):
-        assert main(["simulate", str(swf_path), "--policy", "fcfs,sjf"]) == 0
-        easy_out = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "simulate", str(swf_path),
-                    "--policy", "fcfs,sjf",
-                    "--engine", "fast",
-                ]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == easy_out
+        for policy in ("fcfs", "sjf"):
+            args = ["simulate", str(swf_path), "--policy", policy]
+            assert main(args) == 0
+            fast_out = capsys.readouterr().out
+            assert main(args + ["--profile"]) == 0
+            assert capsys.readouterr().out.startswith(fast_out)
 
     def test_fast_fault_run_matches_easy(self, swf_path, capsys):
-        """--engine fast with fault flags now runs (PR 10 lifted the
-        conflict) and prints the exact table the reference produces."""
+        """A fault run prints the exact table the readable fault loop
+        produces."""
         args = ["simulate", str(swf_path), "--mtbf-hours", "5", "--retries", "2"]
-        assert main(args + ["--engine", "easy"]) == 0
-        easy_out = capsys.readouterr().out
-        assert main(args + ["--engine", "fast"]) == 0
-        assert capsys.readouterr().out == easy_out
-        assert "faults" in easy_out
+        assert main(args) == 0
+        fast_out = capsys.readouterr().out
+        assert main(args + ["--profile"]) == 0
+        assert capsys.readouterr().out.startswith(fast_out)
+        assert "faults" in fast_out
 
     def test_fast_trace_out_matches_easy(self, swf_path, tmp_path, capsys):
-        """--trace-out now works on the fast engine: the decoded columnar
-        stream must match the reference byte-for-byte modulo the
-        run_start engine provenance field."""
+        """--trace-out on the fast engine writes the readable loop's
+        stream byte for byte, modulo the run_start engine field."""
         easy_path = tmp_path / "easy.jsonl"
         fast_path = tmp_path / "fast.jsonl"
-        for engine, path in (("easy", easy_path), ("fast", fast_path)):
-            assert (
-                main(
-                    [
-                        "simulate", str(swf_path),
-                        "--engine", engine,
-                        "--trace-out", str(path),
-                    ]
-                )
-                == 0
-            )
+        base = ["simulate", str(swf_path)]
+        assert main(base + ["--trace-out", str(fast_path)]) == 0
+        assert main(base + ["--trace-out", str(easy_path), "--profile"]) == 0
         capsys.readouterr()
         easy_lines = easy_path.read_text().splitlines()
         fast_lines = fast_path.read_text().splitlines()
         assert len(easy_lines) == len(fast_lines)
+        assert '"engine":"easy"' in easy_lines[0].replace(" ", "")
         assert easy_lines[0].replace('"easy"', '"fast"') == fast_lines[0]
         assert easy_lines[1:] == fast_lines[1:]
 
     def test_fast_profile_flag_ok(self, swf_path, capsys):
-        assert (
-            main(
-                [
-                    "simulate", str(swf_path),
-                    "--engine", "fast",
-                    "--profile",
-                ]
-            )
-            == 0
-        )
+        assert main(["simulate", str(swf_path), "--profile"]) == 0
         assert "simulate" in capsys.readouterr().out
 
     def test_profile_subcommand_fast(self, swf_path, capsys):
-        assert main(["profile", str(swf_path), "--engine", "fast"]) == 0
+        assert main(["profile", str(swf_path)]) == 0
         assert "hot-path" in capsys.readouterr().out
 
-    def test_fuzz_fast_smoke(self, capsys):
-        assert main(["fuzz", "--budget", "5", "--engine", "fast"]) == 0
+    def test_profile_reports_round_phases(self, swf_path, capsys):
+        """repro profile keeps the per-round phase breakdown through the
+        fine-profiler fallback to the readable loop."""
+        assert main(["profile", str(swf_path), "--backfill", "relaxed"]) == 0
         out = capsys.readouterr().out
-        assert "fuzz[fast]" in out
-        assert "sjf-easy" not in out  # label only in divergences
-        assert "ok:" in out
+        for phase in ("event_drain", "policy_sort", "backfill_scan"):
+            assert phase in out
 
-    def test_fuzz_fast_rejects_conservative(self, capsys):
-        assert (
-            main(
-                [
-                    "fuzz", "--budget", "5",
-                    "--engine", "fast",
-                    "--policy", "conservative",
-                ]
-            )
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "conservative" in err
-        assert "fast-conservative" in err  # the message points at the twin
+    def test_engine_flags_removed(self, swf_path, capsys):
+        for cmd in (
+            ["simulate", str(swf_path)],
+            ["profile", str(swf_path)],
+            ["fuzz", "--budget", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(cmd + ["--engine", "fast"])
+            assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+    def test_fuzz_fast_smoke(self, capsys):
+        assert main(["fuzz", "--budget", "5", "--policy", "sjf-easy"]) == 0
+        out = capsys.readouterr().out
+        assert "fuzz: 5 workload(s)" in out
+        assert "ok:" in out
 
     def test_fuzz_fast_conservative_smoke(self, capsys):
-        assert main(["fuzz", "--budget", "5", "--engine", "fast-conservative"]) == 0
-        out = capsys.readouterr().out
-        assert "fuzz[fast-conservative]" in out
-        assert "ok:" in out
+        assert main(["fuzz", "--budget", "5", "--policy", "conservative"]) == 0
+        assert "ok:" in capsys.readouterr().out
 
     def test_fuzz_fast_faults_smoke(self, capsys):
-        assert main(["fuzz", "--budget", "2", "--engine", "fast-faults"]) == 0
-        out = capsys.readouterr().out
-        assert "fuzz[fast-faults]" in out
-        assert "ok:" in out
+        assert main(["fuzz", "--budget", "2", "--policy", "fcfs,easy"]) == 0
+        assert "ok:" in capsys.readouterr().out
 
     def test_metrics_out_payload_identical(self, swf_path, tmp_path, capsys):
         """--metrics-out on the fast engine writes the exact payload the
-        reference engine would (instrument-for-instrument, sample-for-
+        readable loop does (instrument-for-instrument, sample-for-
         sample)."""
         easy_path = tmp_path / "easy.json"
         fast_path = tmp_path / "fast.json"
-        for engine, path in (("easy", easy_path), ("fast", fast_path)):
-            assert (
-                main(
-                    [
-                        "simulate", str(swf_path),
-                        "--engine", engine,
-                        "--metrics-out", str(path),
-                    ]
-                )
-                == 0
-            )
+        base = ["simulate", str(swf_path)]
+        assert main(base + ["--metrics-out", str(fast_path)]) == 0
+        assert main(base + ["--metrics-out", str(easy_path), "--profile"]) == 0
         capsys.readouterr()
         assert easy_path.read_text() == fast_path.read_text()

@@ -160,6 +160,46 @@ class TestEngineBasics:
                 capacity=4,
             )
 
+    @pytest.mark.parametrize("field", ["submit", "runtime", "walltime"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, field, bad):
+        """NaN/inf times are refused at the workload boundary, naming the
+        field: the readable loops would hang on them and the fast engines
+        would mis-schedule them."""
+        arrays = {
+            "submit": [0.0, 1.0, 2.0, 3.0],
+            "runtime": [5.0, 5.0, 5.0, 5.0],
+            "walltime": [9.0, 9.0, 9.0, 9.0],
+        }
+        arrays[field][1] = bad
+        with pytest.raises(ValueError, match=field):
+            SimWorkload(
+                cores=np.ones(4, dtype=np.int64),
+                user=np.zeros(4, dtype=np.int64),
+                **{k: np.array(v) for k, v in arrays.items()},
+            )
+
+    @pytest.mark.parametrize("cores", [[1.0, 2.5], [1.0, np.nan], [np.inf, 1.0]])
+    def test_non_integral_cores_rejected(self, cores):
+        with pytest.raises(ValueError, match="cores"):
+            SimWorkload(
+                submit=np.array([0.0, 1.0]),
+                cores=np.array(cores),
+                runtime=np.array([5.0, 5.0]),
+                walltime=np.array([5.0, 5.0]),
+                user=np.zeros(2, dtype=np.int64),
+            )
+
+    def test_integral_float_cores_accepted(self):
+        workload = SimWorkload(
+            submit=np.array([0.0, 1.0]),
+            cores=np.array([2.0, 4.0]),
+            runtime=np.array([5.0, 5.0]),
+            walltime=np.array([5.0, 5.0]),
+            user=np.zeros(2, dtype=np.int64),
+        )
+        assert simulate(workload, capacity=4).start.tolist() == [0.0, 5.0]
+
     def test_wait_metric(self):
         workload = wl([0, 0], [4, 4], [100, 100])
         res = simulate(workload, capacity=4)
@@ -341,3 +381,24 @@ class TestIntegrationWithTraces:
         )
         if m_rel.violation > 0:
             assert m_ada.violation <= m_rel.violation
+
+
+class TestImportEdges:
+    def test_import_sched_does_not_load_scipy(self):
+        """The simulator never needs scipy; only fitting a Tobit model
+        does, and that import happens inside the fit."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, repro.sched; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "False"

@@ -153,7 +153,7 @@ class TestDifferentialOracle:
     def test_conservative_engine_matches_oracle(self, workload):
         engine = simulate_conservative(workload, CAPACITY)
         oracle = oracle_simulate(
-            workload, CAPACITY, "fcfs", engine="conservative"
+            workload, CAPACITY, "fcfs", semantics="conservative"
         )
         assert np.array_equal(engine.start, oracle.start)
         assert np.array_equal(engine.promised, oracle.promised, equal_nan=True)

@@ -72,19 +72,20 @@ class TestOracleParity:
             rng = np.random.default_rng((123, case))
             wl = random_workload(rng, capacity=CAPACITY)
             for policy in FUZZ_POLICIES.values():
-                engine = policy.run_engine(wl, CAPACITY)
                 oracle = policy.run_oracle(wl, CAPACITY)
-                assert np.array_equal(engine.start, oracle.start), policy.name
-                assert np.array_equal(
-                    engine.promised, oracle.promised, equal_nan=True
-                ), policy.name
+                for name, engine in policy.run_engines(wl, CAPACITY).items():
+                    label = f"{policy.name}/{name}"
+                    assert np.array_equal(engine.start, oracle.start), label
+                    assert np.array_equal(
+                        engine.promised, oracle.promised, equal_nan=True
+                    ), label
 
     def test_oracle_is_a_real_scheduler(self):
         """Oracle output independently passes the invariant battery."""
         rng = np.random.default_rng(7)
         wl = random_workload(rng, capacity=CAPACITY)
         for engine, bf in (("easy", EASY), ("easy", NO_BACKFILL), ("conservative", EASY)):
-            res = oracle_simulate(wl, CAPACITY, "fcfs", bf, engine=engine)
+            res = oracle_simulate(wl, CAPACITY, "fcfs", bf, semantics=engine)
             assert check_result(res) == []
 
     def test_backfill_actually_happens(self):
@@ -383,8 +384,8 @@ class TestReproducerRoundTrip:
         # equivalent under the walltime >= runtime clamp, so the schedule
         # itself must be identical even where the field is not
         for policy in FUZZ_POLICIES.values():
-            a = policy.run_engine(wl, CAPACITY)
-            b = policy.run_engine(back, CAPACITY)
+            a = policy.run_engines(wl, CAPACITY)["fast"]
+            b = policy.run_engines(back, CAPACITY)["fast"]
             assert np.array_equal(a.start, b.start), policy.name
 
     def test_trace_capacity_matches_fuzz_cluster(self):
