@@ -522,6 +522,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     try:
         faults = _fault_config(args, trace)
+        if faults is not None:
+            faults.check_capacity(trace.system.schedulable_units)
     except ValueError as exc:
         print(f"invalid fault configuration: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import check_X, check_Xy
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, presort
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -66,6 +66,8 @@ class GradientBoostingRegressor:
             X_val, y_val = X[val_idx], y[val_idx]
             X, y = X[tr_idx], y[tr_idx]
 
+        # X is fixed across stages: sort it once for every stage's tree
+        px = presort(X)
         self.init_ = float(y.mean())
         self.trees_ = []
         pred = np.full(len(y), self.init_)
@@ -77,17 +79,16 @@ class GradientBoostingRegressor:
 
         for stage in range(self.n_estimators):
             residual = y - pred
+            keep = None
             if self.subsample < 1.0:
                 idx = rng.random(len(y)) < self.subsample
-                if idx.sum() < 2 * self.min_samples_leaf:
-                    idx = np.ones(len(y), dtype=bool)
-            else:
-                idx = slice(None)
+                if idx.sum() >= 2 * self.min_samples_leaf:
+                    keep = idx
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
             )
-            tree.fit(X[idx], residual[idx])
+            tree._fit_presorted(px, residual, keep)
             self.trees_.append(tree)
             pred = pred + self.learning_rate * tree.predict(X)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import check_X, check_Xy
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, presort
 
 __all__ = ["QuantileGradientBoosting", "pinball_loss"]
 
@@ -52,6 +52,7 @@ class QuantileGradientBoosting:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "QuantileGradientBoosting":
         """Boost on the pinball subgradient."""
         X, y = check_Xy(X, y)
+        px = presort(X)
         self.init_ = float(np.quantile(y, self.q))
         self.trees_ = []
         pred = np.full(len(y), self.init_)
@@ -62,7 +63,7 @@ class QuantileGradientBoosting:
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
             )
-            tree.fit(X, residual_sign)
+            tree._fit_presorted(px, residual_sign)
             self.trees_.append(tree)
             pred = pred + self.learning_rate * tree.predict(X)
             if self.callback is not None:

@@ -122,6 +122,7 @@ def simulate_fast_with_faults(
         raise ValueError("empty workload")
     if int(workload.cores.max()) > capacity:
         raise ValueError("job larger than cluster capacity")
+    faults.check_capacity(capacity)
     if kill_at_walltime:
         workload = workload.clipped_to_walltime()
 
@@ -170,7 +171,7 @@ def simulate_fast_with_faults(
     running: list[tuple[float, int]] = []  # sorted (expected_end, cores)
     exp_end_l = [0.0] * n
     if faulty:
-        n_nodes = max(min(int(faults.n_nodes), int(capacity)), 1)
+        n_nodes = int(faults.n_nodes)  # <= capacity: checked on entry
         base, leftover = divmod(int(capacity), n_nodes)
         node_size = [base + (1 if i < leftover else 0) for i in range(n_nodes)]
         node_free = list(node_size)

@@ -89,7 +89,8 @@ class FaultConfig:
     n_nodes:
         Node granularity imposed on the flat core pool (ignored by the
         packed engine, which has real nodes).  Capacity is split as evenly
-        as possible across nodes.
+        as possible across nodes; with node failures on, the engines
+        reject more nodes than cores (:meth:`check_capacity`).
     fail_prob:
         Per-attempt probability of an intrinsic failure (the trace's
         FAILED class): the attempt aborts at a uniform fraction of its
@@ -123,7 +124,7 @@ class FaultConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.node_mtbf <= 0:
+        if math.isnan(self.node_mtbf) or self.node_mtbf <= 0:
             raise ValueError("node_mtbf must be positive (inf disables)")
         if self.node_mttr <= 0 or not math.isfinite(self.node_mttr):
             raise ValueError("node_mttr must be positive and finite")
@@ -135,10 +136,26 @@ class FaultConfig:
             raise ValueError("fail_prob + kill_prob exceeds 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts counts the first run; minimum 1")
+        if not all(map(math.isfinite, (self.backoff_base, self.backoff_factor))):
+            raise ValueError("backoff_base and backoff_factor must be finite")
         if self.backoff_base < 0 or self.backoff_factor < 1.0:
             raise ValueError("backoff_base >= 0 and backoff_factor >= 1 required")
-        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive or None")
+        if self.checkpoint_interval is not None and not (
+            math.isfinite(self.checkpoint_interval) and self.checkpoint_interval > 0
+        ):
+            raise ValueError("checkpoint_interval must be positive and finite, or None")
+
+    def check_capacity(self, capacity: int) -> None:
+        """Raise :class:`ValueError` unless every failure node gets a core.
+
+        Only node failures split the pool into ``n_nodes`` nodes, so the
+        check binds only when they are active.
+        """
+        if self.has_node_faults and self.n_nodes > capacity:
+            raise ValueError(
+                f"n_nodes={self.n_nodes} exceeds cluster capacity {capacity}: "
+                "every failure node needs at least one core"
+            )
 
     @property
     def has_node_faults(self) -> bool:
@@ -544,6 +561,7 @@ def simulate_with_faults(
         raise ValueError("empty workload")
     if int(workload.cores.max()) > capacity:
         raise ValueError("job larger than cluster capacity")
+    faults.check_capacity(capacity)
     if kill_at_walltime:
         workload = workload.clipped_to_walltime()
 

@@ -38,7 +38,7 @@ reproduces exactly from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -68,6 +68,7 @@ __all__ = [
     "FuzzPolicy",
     "FUZZ_POLICIES",
     "FUZZ_FAULT_CONFIGS",
+    "fit_faults",
     "Divergence",
     "FuzzReport",
     "random_workload",
@@ -178,6 +179,19 @@ FUZZ_FAULT_CONFIGS: tuple[FaultConfig, ...] = (
         seed=404,
     ),
 )
+
+
+def fit_faults(cfg: FaultConfig, capacity: int) -> FaultConfig:
+    """``cfg`` with no more failure nodes than ``capacity`` has cores.
+
+    The fault engines reject a node count above the capacity, and
+    fuzzed clusters can be smaller than a matrix config's ``n_nodes``;
+    there the config runs with one node per core.
+    """
+    if cfg.has_node_faults and cfg.n_nodes > capacity:
+        return replace(cfg, n_nodes=capacity)
+    return cfg
+
 
 #: every array field of a ``FaultSimResult`` — the fault-engine diff is
 #: whole-result, attempt and node logs included
@@ -323,6 +337,7 @@ def _check_faults(
     """
     findings: list[str] = []
     for idx, cfg in enumerate(FUZZ_FAULT_CONFIGS):
+        cfg = fit_faults(cfg, capacity)
         ref = simulate_with_faults(
             workload, capacity, policy.policy, policy.backfill, cfg,
             track_queue=True,

@@ -177,6 +177,19 @@ class TestCliObservability:
         kinds = {e["kind"] for e in events}
         assert "node_fail" in kinds
 
+    def test_fault_nodes_above_capacity_exit_2(self, swf_path, capsys):
+        assert main(
+            [
+                "simulate", str(swf_path),
+                "--max-jobs", "50",
+                "--mtbf-hours", "6",
+                "--fault-nodes", str(10**9),
+            ]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "invalid fault configuration" in err
+        assert "exceeds cluster capacity" in err
+
     def test_trace_out_parent_is_file(self, swf_path, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")

@@ -51,7 +51,7 @@ from repro.sched import (
 )
 from repro.sched.engine import USAGE_EPS
 from repro.testkit import FUZZ_POLICIES, check_case, fuzz, random_workload
-from repro.testkit.fuzz import FUZZ_FAULT_CONFIGS
+from repro.testkit.fuzz import FUZZ_FAULT_CONFIGS, fit_faults
 from repro.testkit.invariants import check_fault_result, check_result
 
 CAPACITY = 16
@@ -347,7 +347,7 @@ class TestFastFaultsMatchesReference:
         failed and restarted attempt's core-seconds."""
         rng = np.random.default_rng(seed)
         wl = _multi_user(random_workload(rng, capacity=capacity), rng)
-        cfg = FUZZ_FAULT_CONFIGS[cfg_index]
+        cfg = fit_faults(FUZZ_FAULT_CONFIGS[cfg_index], capacity)
         ref = simulate_with_faults(
             wl, capacity, policy, EASY, cfg, track_queue=True
         )

@@ -14,6 +14,7 @@ from repro.sched import (
     SimWorkload,
     simulate,
     simulate_packed,
+    simulate_fast_with_faults,
     simulate_packed_with_faults,
     simulate_with_faults,
     workload_from_trace,
@@ -73,11 +74,45 @@ class TestFaultConfig:
             {"backoff_base": -1.0},
             {"backoff_factor": 0.5},
             {"checkpoint_interval": 0.0},
+            # non-finite knobs: only node_mtbf=+inf has a meaning (off)
+            {"node_mtbf": math.nan},
+            {"node_mtbf": math.nan, "backoff_base": math.nan},
+            {"backoff_base": math.nan},
+            {"backoff_base": math.inf},
+            {"backoff_factor": math.nan},
+            {"backoff_factor": math.inf},
+            {"checkpoint_interval": math.nan},
+            {"checkpoint_interval": math.inf},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FaultConfig(**kwargs)
+
+    def test_infinite_mtbf_disables_node_faults(self):
+        assert not FaultConfig(node_mtbf=math.inf).has_node_faults
+
+    @pytest.mark.parametrize(
+        "engine", [simulate_with_faults, simulate_fast_with_faults]
+    )
+    def test_more_nodes_than_cores_rejected(self, engine):
+        wl = make_workload([0, 1], [1, 2], [10, 10])
+        cfg = FaultConfig(node_mtbf=100.0, n_nodes=5)
+        with pytest.raises(ValueError, match="n_nodes=5 exceeds cluster capacity 4"):
+            engine(wl, 4, faults=cfg)
+        # a node count that fits runs
+        assert engine(wl, 5, faults=cfg).start.shape == (2,)
+
+    @pytest.mark.parametrize(
+        "engine", [simulate_with_faults, simulate_fast_with_faults]
+    )
+    def test_node_count_unchecked_without_node_faults(self, engine):
+        """``n_nodes`` only shapes node failures; intrinsic-only configs
+        keep running on clusters smaller than the default 16 nodes."""
+        wl = make_workload([0, 1], [1, 2], [10, 10])
+        cfg = FaultConfig(fail_prob=0.5, max_attempts=2, seed=3)
+        assert cfg.n_nodes > 4
+        assert engine(wl, 4, faults=cfg).start.shape == (2,)
 
     def test_from_workload_calibration(self):
         status = [

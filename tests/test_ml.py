@@ -1,15 +1,23 @@
 """ML substrate tests: models recover known structure; metrics behave."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostingRegressor,
     LinearRegression,
     MLPRegressor,
+    QuantileGradientBoosting,
     Ridge,
     StandardScaler,
     TobitRegressor,
@@ -20,6 +28,7 @@ from repro.ml import (
     train_test_split,
     underestimation_rate,
 )
+from repro.ml.tree import _Node, presort
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -151,6 +160,169 @@ class TestBoosting:
             GradientBoostingRegressor(subsample=1.5)
 
 
+# ----------------------------------------------------------------------
+# Presorted trees against the readable per-node-argsort reference
+# ----------------------------------------------------------------------
+
+
+def _reference_best_split(X, y, min_leaf):
+    """The split search before presorting: every node argsorts every
+    feature afresh.  Kept here as the readable specification."""
+    n, d = X.shape
+    total_sum = y.sum()
+    total_sq = float(y @ y)
+    base_sse = total_sq - total_sum**2 / n
+    best = None
+    for f in range(d):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        i = np.arange(min_leaf, n - min_leaf + 1)
+        if len(i) == 0:
+            continue
+        left_sum = csum[i - 1]
+        left_sq = csq[i - 1]
+        right_sum = total_sum - left_sum
+        right_sq = total_sq - left_sq
+        sse = left_sq - left_sum**2 / i + right_sq - right_sum**2 / (n - i)
+        distinct = xs[i - 1] < xs[np.minimum(i, n - 1)]
+        sse = np.where(distinct, sse, np.inf)
+        k = int(np.argmin(sse))
+        if np.isfinite(sse[k]):
+            gain = base_sse - float(sse[k])
+            if best is None or gain > best[2]:
+                best = (f, float((xs[i[k] - 1] + xs[i[k]]) / 2.0), gain)
+    return best
+
+
+class _ReferenceTree(DecisionTreeRegressor):
+    """Grows on the row subset from scratch, ignoring the presort."""
+
+    def _fit_presorted(self, px, y, keep=None):
+        rows = np.arange(len(y)) if keep is None else np.flatnonzero(keep)
+        self._n_features = len(px.XT)
+        self._root = self._grow_reference(px.XT.T[rows], y[rows], 0)
+        return self
+
+    def _grow_reference(self, X, y, depth):
+        node = _Node(value=float(y.mean()))
+        if depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf:
+            return node
+        split = _reference_best_split(X, y, self.min_samples_leaf)
+        if split is None or split[2] <= self.min_gain:
+            return node
+        f, thr, _gain = split
+        mask = X[:, f] <= thr
+        node.feature, node.threshold = f, thr
+        node.left = self._grow_reference(X[mask], y[mask], depth + 1)
+        node.right = self._grow_reference(X[~mask], y[~mask], depth + 1)
+        return node
+
+
+def _nodes(tree):
+    """Pre-order ``(feature, threshold, value)`` of every node."""
+    out, stack = [], [tree._root]
+    while stack:
+        node = stack.pop()
+        out.append((node.feature, node.threshold, node.value))
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return out
+
+
+#: tie-heavy feature values: a handful of integers, or a few floats
+#: whose midpoints are inexact
+_TIE_ELEMENTS = st.one_of(
+    st.integers(0, 3).map(float),
+    st.sampled_from([-2.5, -0.1, 0.0, 1e-9, 0.3, 0.7, 7.0]),
+)
+
+
+@st.composite
+def _tie_heavy_data(draw, min_rows=2):
+    n = draw(st.integers(min_rows, 80))
+    d = draw(st.integers(1, 4))
+    integral = draw(st.booleans())
+    elements = st.integers(0, 3).map(float) if integral else _TIE_ELEMENTS
+    X = draw(hnp.arrays(np.float64, (n, d), elements=elements))
+    y = draw(
+        hnp.arrays(
+            np.float64,
+            n,
+            elements=st.one_of(
+                st.integers(-3, 3).map(float),
+                st.floats(-100, 100, allow_nan=False, width=32).map(float),
+                # magnitudes whose prefix sums depend on summation order
+                st.sampled_from([1e16, -1e16, 0.1, 3.3]),
+            ),
+        )
+    )
+    return X, y
+
+
+class TestPresortedTreeBitIdentity:
+    """Presort + stable partition grows exactly the per-node-argsort tree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=_tie_heavy_data(),
+        depth=st.integers(1, 7),
+        leaf=st.integers(1, 10),
+    )
+    def test_tree_nodes_identical(self, data, depth, leaf):
+        X, y = data
+        kw = dict(max_depth=depth, min_samples_leaf=leaf)
+        fast = DecisionTreeRegressor(**kw).fit(X, y)
+        ref = _ReferenceTree(**kw).fit(X, y)
+        assert _nodes(fast) == _nodes(ref)
+        assert np.array_equal(fast.predict(X), ref.predict(X))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=_tie_heavy_data(), draw=st.data())
+    def test_partitioned_presort_is_subset_stable_sort(self, data, draw):
+        """The invariant the tree relies on: filtering the global stable
+        order to any row subset yields that subset's own stable order."""
+        X, _ = data
+        keep = draw.draw(hnp.arrays(np.bool_, len(X)))
+        rows, order = presort(X).subset(keep)
+        assert np.array_equal(rows, np.flatnonzero(keep))
+        for f in range(X.shape[1]):
+            expected = rows[np.argsort(X[rows, f], kind="stable")]
+            assert np.array_equal(order[f], expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=_tie_heavy_data(min_rows=20),
+        depth=st.integers(1, 5),
+        leaf=st.integers(1, 10),
+        variant=st.sampled_from(
+            [{}, {"subsample": 0.5}, {"early_stopping_fraction": 0.25}]
+        ),
+    )
+    def test_boosting_predictions_identical(self, data, depth, leaf, variant):
+        X, y = data
+        kw = dict(n_estimators=8, max_depth=depth, min_samples_leaf=leaf, **variant)
+        fast = GradientBoostingRegressor(**kw).fit(X, y)
+        with mock.patch("repro.ml.boosting.DecisionTreeRegressor", _ReferenceTree):
+            ref = GradientBoostingRegressor(**kw).fit(X, y)
+        assert fast.n_stages == ref.n_stages
+        assert np.array_equal(fast.predict(X), ref.predict(X))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=_tie_heavy_data(), depth=st.integers(1, 5), leaf=st.integers(1, 10)
+    )
+    def test_quantile_boosting_predictions_identical(self, data, depth, leaf):
+        X, y = data
+        kw = dict(n_estimators=6, max_depth=depth, min_samples_leaf=leaf)
+        fast = QuantileGradientBoosting(**kw).fit(X, y)
+        with mock.patch("repro.ml.quantile.DecisionTreeRegressor", _ReferenceTree):
+            ref = QuantileGradientBoosting(**kw).fit(X, y)
+        assert np.array_equal(fast.predict(X), ref.predict(X))
+
+
 class TestMLP:
     def test_learns_linear_function(self):
         X, y, _ = linear_data(n=600, noise=0.05)
@@ -209,6 +381,94 @@ class TestTobit:
         X, y, _ = linear_data(n=50)
         with pytest.raises(ValueError):
             TobitRegressor().fit(X, y, censored=np.zeros(3, dtype=bool))
+
+
+def _censored_data(censor_q, n=500, seed=5):
+    """Linear data right-censored above its ``censor_q`` quantile."""
+    rng = RNG(seed)
+    X = rng.normal(size=(n, 2))
+    y_true = X @ np.array([1.5, -0.7]) + 4.0 + 0.5 * rng.normal(size=n)
+    cap = np.quantile(y_true, censor_q)
+    censored = y_true > cap
+    return X, np.minimum(y_true, cap), censored
+
+
+def _reference_tobit_params(X, y, censored, max_iter=200):
+    """Tobit MLE through ``scipy.stats.norm.logpdf``/``logcdf``: the
+    objective the direct likelihood must reproduce bit for bit."""
+    from scipy.optimize import minimize
+    from scipy.stats import norm
+
+    ols = LinearRegression().fit(X, y)
+    sigma0 = max(float((y - ols.predict(X)).std()), 1e-6)
+    w0 = np.concatenate([ols.coef_, [ols.intercept_, np.log(sigma0)]])
+    A = np.hstack([X, np.ones((len(y), 1))])
+    unc = ~censored
+
+    def neg_ll(params):
+        log_s = np.clip(params[-1], -20.0, 20.0)
+        s = np.exp(log_s)
+        mu = A @ params[:-1]
+        ll = 0.0
+        if unc.any():
+            z = (y[unc] - mu[unc]) / s
+            ll += float(np.sum(norm.logpdf(z) - log_s))
+        if censored.any():
+            z = (mu[censored] - y[censored]) / s
+            ll += float(np.sum(norm.logcdf(z)))
+        return -ll
+
+    return minimize(
+        neg_ll, w0, method="L-BFGS-B", options={"maxiter": max_iter}
+    ).x
+
+
+class TestTobitDirectLikelihood:
+    """The direct log-likelihood is the ``scipy.stats.norm`` one, bitwise."""
+
+    @pytest.mark.parametrize("censor_q", [1.0, 0.7, 0.3])
+    def test_fit_bit_equal_to_norm_objective(self, censor_q):
+        X, y, censored = _censored_data(censor_q)
+        tob = TobitRegressor().fit(X, y, censored=censored)
+        params = _reference_tobit_params(X, y, censored)
+        assert np.array_equal(tob.coef_, params[:-2])
+        assert tob.intercept_ == float(params[-2])
+        assert tob.sigma_ == float(np.exp(np.clip(params[-1], -20.0, 20.0)))
+
+    def test_quantile_bit_equal_to_norm_ppf(self):
+        from scipy.stats import norm
+
+        X, y, censored = _censored_data(0.7)
+        tob = TobitRegressor().fit(X, y, censored=censored)
+        for q in (0.1, 0.5, 0.75, 0.99):
+            expected = tob.predict(X) + tob.sigma_ * norm.ppf(q)
+            assert np.array_equal(tob.predict_quantile(X, q), expected)
+
+
+class TestImportEdges:
+    def test_tobit_fit_and_quantile_do_not_load_scipy_stats(self):
+        """Tobit needs ``scipy.optimize`` and ``scipy.special`` only; the
+        heavyweight ``scipy.stats`` stays out of the process."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.ml import TobitRegressor\n"
+            "rng = np.random.default_rng(0)\n"
+            "X = rng.normal(size=(200, 2))\n"
+            "y = X @ np.array([1.0, -1.0]) + rng.normal(size=200)\n"
+            "m = TobitRegressor().fit(X, np.minimum(y, 1.0), censored=y > 1.0)\n"
+            "m.predict_quantile(X, 0.9)\n"
+            "print('scipy.optimize' in sys.modules, 'scipy.stats' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "True False"
 
 
 class TestTrainingTelemetry:
