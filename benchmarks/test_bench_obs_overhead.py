@@ -295,11 +295,12 @@ def test_bench_sweep_noop_reporter_overhead():
 def test_bench_perf_trace_overhead():
     """Full span tracing stays within 5% of a bare sweep, bit-identically.
 
-    The tracing-on arm runs every cell under a span Profiler (the engines'
-    per-round spans all fire) and ships the span trees to the parent trace
-    — the whole PR 7 pipeline minus file output.  The engine's numpy-heavy
-    scheduling rounds amortize the per-span cost, which is what keeps the
-    hot loop instrumentable at all.  Same paired-round min-of-ratios
+    The tracing-on arm runs every cell under a span Profiler (the fast
+    engine times every scheduling round's phases and reports their sums
+    under its root span) and ships the span trees to the parent trace
+    — the whole PR 7 pipeline minus file output.  Summing phase times in
+    locals instead of opening a span per round is what keeps the hot
+    loop instrumentable at all.  Same paired-round min-of-ratios
     scoring as the no-op reporter bench above: systematic overhead shows
     in every round, noise needs only one quiet round to be absolved.
     """

@@ -28,9 +28,8 @@ Subcommands::
     repro study     [--days D] [--seed S] [--report out.md]
 
 Invoke as ``python -m repro.cli ...``.  Every run takes the vectorized
-engine of its semantics; ``--profile`` and ``repro profile`` run the
-readable loop, which alone records per-round spans, with identical
-results (docs/PERFORMANCE.md).
+engine of its semantics, profiled runs (``--profile``, ``repro profile``)
+included: the engines report their own phase times (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations

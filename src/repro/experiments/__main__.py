@@ -124,14 +124,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also run a sampling profiler in each worker at HZ samples/s "
         "(0 = spans only)",
     )
-    tracing.add_argument(
-        "--fine-spans",
-        action="store_true",
-        help="record per-scheduling-round spans (policy sort, backfill "
-        "scan, event drain); cells then run on the readable loops, which "
-        "alone record them, so the sweep slows severalfold — the default "
-        "records coarse cell/simulate spans on the fast engines",
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -143,15 +135,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--sample-hz must be >= 0")
     if args.sample_hz > 0 and not (args.trace_out or args.stacks_out):
         parser.error("--sample-hz requires --trace-out or --stacks-out")
-    if args.fine_spans and not (args.trace_out or args.stacks_out):
-        parser.error("--fine-spans requires --trace-out or --stacks-out")
     perf = None
     if args.trace_out or args.stacks_out:
         from ..obs import PerfConfig
 
         perf = PerfConfig(
             sampler_hz=args.sample_hz,
-            fine_spans=args.fine_spans,
             trace_out=args.trace_out,
             stacks_out=args.stacks_out,
         )

@@ -12,7 +12,8 @@ optional sinks (``simulate(..., tracer=, metrics=, profiler=)``):
   log-bucketed histograms plus a sim-time-sampled utilization/queue-depth
   series; JSON and Prometheus text exports;
 * **profiling** (:mod:`repro.obs.profiling`) — ``perf_counter`` spans
-  around engine hot paths with a per-run wall-time breakdown.
+  for coarse structure plus each engine's summed phase times (event
+  drain, policy sort, backfill scan), with a per-run wall-time breakdown.
 
 All three default to shared no-op objects so the uninstrumented hot path
 stays effectively free (see ``benchmarks/test_bench_obs_overhead.py``),

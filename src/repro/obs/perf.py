@@ -151,15 +151,13 @@ class PerfConfig:
     ``stacks_out`` make the sweep parent write the merged Chrome trace
     JSON / collapsed flamegraph stacks when the sweep finishes.
 
-    ``fine_spans`` records the engines' per-scheduling-round spans
-    (event drain, policy sort, backfill scan) in addition to the coarse
-    cell/simulate structure.  It is off by default because a recorded
-    span costs microseconds of pure-Python bookkeeping per scheduling
-    round — tens of percent of engine wall time — whereas the coarse
-    default stays within the <5% sweep-overhead budget enforced by
-    ``benchmarks/test_bench_obs_overhead.py``.  For statistical depth at
-    bounded cost, prefer ``sampler_hz``; for exact per-round spans on one
-    run, prefer ``repro profile`` (which always records fine spans).
+    Every cell records its ``cell`` span, the engine's ``simulate`` root
+    span and the engine's phase sums (``event_drain``, ``policy_sort``,
+    ``backfill_scan``, ...) as children of it.  The engines sum their
+    phases instead of opening a span per round, which keeps the sweep
+    within the <5% overhead budget enforced by
+    ``benchmarks/test_bench_obs_overhead.py``.  For statistical depth
+    below the phases, add ``sampler_hz``.
 
     The parent stores its accumulating :class:`SweepTrace` on ``trace``;
     reusing one config across several ``run_sweep`` calls appends them all
@@ -171,7 +169,6 @@ class PerfConfig:
 
     sampler_hz: float = 0.0
     collect_metrics: bool = False
-    fine_spans: bool = False
     trace_out: str | Path | None = None
     stacks_out: str | Path | None = None
     #: parent-side accumulator; populated by run_sweep, never pickled to workers
@@ -188,7 +185,6 @@ class PerfConfig:
         return PerfConfig(
             sampler_hz=self.sampler_hz,
             collect_metrics=self.collect_metrics,
-            fine_spans=self.fine_spans,
         )
 
 

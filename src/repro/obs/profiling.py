@@ -1,11 +1,15 @@
 """Lightweight wall-time profiling of engine hot paths.
 
 A :class:`Profiler` hands out :meth:`~Profiler.span` context managers built
-on :func:`time.perf_counter`; the engines wrap their hot paths (event
-drain, policy sort, backfill scan, profile rebuild) in named spans and the
-profiler accumulates per-name call counts and wall time.  The point is the
-**per-run breakdown report** — before making a hot path faster you need to
-know which one is hot, and every future perf PR benchmarks against these
+on :func:`time.perf_counter`, and accumulates per-name call counts and wall
+time.  Coarse structure (a sweep cell, an engine's root ``simulate`` span)
+is timed with spans.  An engine's scheduling rounds are too short for a
+span object each, so the engines time their phases (event drain, policy
+sort, backfill scan, profile rebuild) with a :class:`PhaseClock`, which
+sums bare ``perf_counter`` deltas per phase and hands the sums over once
+per run through :meth:`Profiler.add_phases`.  The point is the **per-run
+breakdown report** — before making a hot path faster you need to know
+which one is hot, and every future perf PR benchmarks against these
 numbers.
 
 Beyond the aggregate table, every span entry/exit is also recorded as a
@@ -24,8 +28,9 @@ its error, and spans still open when :meth:`~Profiler.to_payload` runs
 rather than silently dropped.
 
 When no profiler is passed, the engines use :data:`NULL_PROFILER`, whose
-spans are a single shared no-op object — the disabled cost is one method
-call and an empty ``with`` block per span site.
+spans are a single shared no-op object; its ``enabled`` flag is False, so
+an unprofiled engine creates no :class:`PhaseClock` and skips its phase
+timing with one test of a local per scheduling round.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import os
 import time
 from time import perf_counter
 
-__all__ = ["Profiler", "NullProfiler", "NULL_PROFILER"]
+__all__ = ["Profiler", "NullProfiler", "NULL_PROFILER", "PhaseClock"]
 
 _TRACE_IDS = itertools.count(1)
 
@@ -53,57 +58,15 @@ class _Span:
         self._closed = False
 
     def __enter__(self) -> "_Span":
-        # inlined Profiler._open: this runs once per engine scheduling
-        # round, so every saved method call is measurable
-        prof = self._profiler
         self._child_s = 0.0
-        self._id = sid = prof._next_span_id
-        prof._next_span_id = sid + 1
-        stack = prof._stack
-        self._parent_id = stack[-1]._id if stack else None
-        stack.append(self)
+        self._profiler._open(self)
         self._t0 = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         t1 = perf_counter()
-        prof = self._profiler
-        stack = prof._stack
-        if exc_type is None and stack and stack[-1] is self:
-            # fast path: clean exit of the innermost span (the overwhelming
-            # majority) — inlined Profiler._close without the stack repair
-            stack.pop()
-            self._closed = True
-            elapsed = t1 - self._t0
-            self_s = elapsed - self._child_s
-            if self_s < 0.0:  # clock-resolution jitter
-                self_s = 0.0
-            if stack:
-                stack[-1]._child_s += elapsed
-            stat = prof._stats.get(self._name)
-            if stat is None:
-                prof._stats[self._name] = [1, elapsed, self_s]
-            else:
-                stat[0] += 1
-                stat[1] += elapsed
-                stat[2] += self_s
-            records = prof.records
-            if len(records) >= prof.max_spans:
-                prof.dropped_spans += 1
-                return False
-            rec: dict = {
-                "id": self._id,
-                "parent": self._parent_id,
-                "name": self._name,
-                "t0": self._t0 - prof._created,
-                "t1": t1 - prof._created,
-            }
-            if self._tags:
-                rec["args"] = self._tags
-            records.append(rec)
-            return False
         error = None if exc is None else f"{type(exc).__name__}: {exc}"
-        prof._close(self, t1, error=error)
+        self._profiler._close(self, t1, error=error)
         return False
 
 
@@ -126,7 +89,6 @@ class NullProfiler:
     """Profiler stand-in whose spans measure nothing."""
 
     enabled = False
-    fine = False
 
     def span(self, name: str, **tags) -> _NullSpan:
         """Return the shared no-op span (tags are discarded)."""
@@ -153,23 +115,13 @@ class Profiler:
     Span records are capped at ``max_spans`` (aggregates keep counting;
     ``dropped_spans`` reports the overflow).
 
-    ``fine`` selects span granularity: with ``fine=False`` the engines
-    skip their per-scheduling-round spans (event drain, policy sort,
-    backfill scan) and record only coarse structure (cell, simulate).  A
-    recorded span costs microseconds of pure-Python bookkeeping, and the
-    engines' rounds are themselves only tens of microseconds, so fine
-    spans cost tens of percent of engine wall time — fine for an explicit
-    ``repro profile`` deep dive, too hot to leave on in sweeps.  Sweep
-    tracing therefore defaults to coarse spans (see
-    :class:`repro.obs.perf.PerfConfig.fine_spans`) and delegates
-    *statistical* depth to the sampling profiler, which prices depth at
-    the sampling rate instead of the span rate.
+    Engine phases arrive summed, through :meth:`add_phases`.
     """
 
     enabled = True
 
     def __init__(self, worker: str | None = None, trace_id: int | None = None,
-                 max_spans: int = 100_000, fine: bool = True) -> None:
+                 max_spans: int = 100_000) -> None:
         # name -> [calls, total_seconds, self_seconds]
         self._stats: dict[str, list] = {}
         self._created = perf_counter()
@@ -177,7 +129,6 @@ class Profiler:
         self.worker = worker
         self.trace_id = next(_TRACE_IDS) if trace_id is None else trace_id
         self.max_spans = max_spans
-        self.fine = fine
         self.dropped_spans = 0
         #: serialized span records, in close order
         self.records: list[dict] = []
@@ -192,6 +143,37 @@ class Profiler:
         along into the serialized record's ``args``.
         """
         return _Span(self, name, tags or None)
+
+    def add_phases(self, phases: dict[str, tuple[int, float]]) -> None:
+        """Record an engine's summed phase times under the open span.
+
+        ``phases`` maps a phase name to ``(calls, seconds)``, as a
+        :class:`PhaseClock` sums them.  Each phase updates the aggregates
+        like a leaf span (its self time is its total) and becomes one child
+        record of the innermost open span, the engine's root ``simulate``
+        span, whose self time shrinks accordingly.  A phase is many short
+        intervals, so its record is laid end to end with its siblings from
+        the parent's start: the width carries the measurement, the offset
+        does not (``args.calls`` counts the intervals).
+        """
+        parent = self._stack[-1]
+        t = parent._t0
+        for name, (calls, seconds) in phases.items():
+            self._record(name, seconds, calls=calls)
+            parent._child_s += seconds
+            if len(self.records) >= self.max_spans:
+                self.dropped_spans += 1
+                continue
+            self.records.append({
+                "id": self._next_span_id,
+                "parent": parent._id,
+                "name": name,
+                "t0": t - self._created,
+                "t1": t + seconds - self._created,
+                "args": {"calls": int(calls)},
+            })
+            self._next_span_id += 1
+            t += seconds
 
     # -- span-tree bookkeeping -------------------------------------------
 
@@ -251,14 +233,15 @@ class Profiler:
             self._close(self._stack.pop(), now, partial=True)
         return n
 
-    def _record(self, name: str, elapsed: float, self_s: float | None = None) -> None:
+    def _record(self, name: str, elapsed: float, self_s: float | None = None,
+                calls: int = 1) -> None:
         if self_s is None:
             self_s = elapsed
         stat = self._stats.get(name)
         if stat is None:
-            self._stats[name] = [1, elapsed, self_s]
+            self._stats[name] = [calls, elapsed, self_s]
         else:
-            stat[0] += 1
+            stat[0] += calls
             stat[1] += elapsed
             stat[2] += self_s
 
@@ -352,3 +335,57 @@ class Profiler:
             f"profiled {snapshot['profiled_s'] * 1e3:.2f} ms of "
             f"{snapshot['wall_s'] * 1e3:.2f} ms wall"
         )
+
+
+class PhaseClock:
+    """Per-phase wall time of one engine run, for :meth:`Profiler.add_phases`.
+
+    Created just inside the engine's root span, the clock counts the time
+    outside :meth:`round` as ``event_drain``.  A round counts as
+    ``policy_sort`` until :meth:`mark` starts a later phase
+    (``profile_rebuild``, ``backfill_scan``), so the phases partition the
+    event loop.
+    """
+
+    __slots__ = ("_profiler", "_sums", "_drain", "_sort", "_acc", "_t0")
+
+    def __init__(self, profiler: Profiler) -> None:
+        self._profiler = profiler
+        # phase -> [calls, seconds]; `_acc` is the running phase's entry
+        self._drain = [0, 0.0]
+        self._sort = [0, 0.0]
+        self._sums = {"event_drain": self._drain, "policy_sort": self._sort}
+        self._acc = self._drain
+        self._t0 = perf_counter()
+
+    def round(self, schedule, now: float) -> None:
+        """Run ``schedule(now)`` as one timed scheduling round."""
+        # the two laps are inlined: this runs once per round
+        t = perf_counter()
+        drain = self._drain
+        drain[0] += 1
+        drain[1] += t - self._t0
+        self._acc = self._sort
+        self._t0 = t
+        schedule(now)
+        t = perf_counter()
+        acc = self._acc
+        acc[0] += 1
+        acc[1] += t - self._t0
+        self._t0 = t
+
+    def mark(self, phase: str) -> None:
+        """End the round's running phase now and start ``phase``."""
+        t = perf_counter()
+        acc = self._acc
+        acc[0] += 1
+        acc[1] += t - self._t0
+        self._t0 = t
+        acc = self._sums.get(phase)
+        if acc is None:
+            acc = self._sums[phase] = [0, 0.0]
+        self._acc = acc
+
+    def report(self) -> None:
+        """Hand the sums to the profiler, under its open (root) span."""
+        self._profiler.add_phases(self._sums)

@@ -309,9 +309,7 @@ def _execute_task(task: SimTask, perf: "PerfConfig | None" = None) -> TaskResult
 
     from ..obs.profiling import Profiler
 
-    prof = Profiler(
-        worker=multiprocessing.current_process().name, fine=perf.fine_spans
-    )
+    prof = Profiler(worker=multiprocessing.current_process().name)
     sampler = None
     if perf.sampler_hz > 0:
         from ..obs.perf import SamplingProfiler

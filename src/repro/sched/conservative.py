@@ -14,9 +14,10 @@ the paper's use case 1.  The truncation itself is shared with the EASY
 engine via :meth:`~repro.sched.job.SimWorkload.clipped_to_walltime`.
 
 Observability mirrors :func:`repro.sched.simulate`: optional ``tracer`` /
-``metrics`` / ``profiler`` sinks; the profiler's ``profile_rebuild`` span
-times the per-round :meth:`CapacityProfile.from_running` reconstruction —
-the known hot path of conservative backfilling.  Reservation events are
+``metrics`` / ``profiler`` sinks; besides ``event_drain`` / ``policy_sort``
+/ ``backfill_scan`` the profiler receives a ``profile_rebuild`` phase, the
+per-round :meth:`CapacityProfile.from_running` reconstruction — the known
+hot path of conservative backfilling.  Reservation events are
 emitted only for a job's *first* promise (every queued job re-reserves
 every round; logging each would swamp the stream).
 """
@@ -28,8 +29,9 @@ import heapq
 import numpy as np
 
 from ..obs import events as ev
-from ..obs.profiling import NULL_PROFILER
+from ..obs.profiling import NULL_PROFILER, PhaseClock
 from .engine import SimResult
+from .job import SimWorkload
 from .policies import Policy, get_policy
 from .profile import CapacityProfile
 
@@ -69,7 +71,6 @@ def simulate_conservative(
 
     emit = tracer.emit if tracer is not None and tracer.enabled else None
     prof = NULL_PROFILER if profiler is None else profiler
-    fine = prof if prof.fine else NULL_PROFILER  # see engine.py
     if metrics is not None:
         g_free = metrics.gauge("sim_free_cores", "unallocated cores")
         g_queue = metrics.gauge("sim_queue_depth", "jobs waiting in the queue")
@@ -110,51 +111,52 @@ def simulate_conservative(
             q_times.append(now)
         if not pending:
             return
-        with fine.span("policy_sort"):
-            arr = np.asarray(pending)
-            order = policy.order(submit[arr], cores[arr], walltime[arr], now)
-            ranked = [int(j) for j in arr[order]]
-        with fine.span("profile_rebuild"):
-            ends = np.array([running_end_by_wall[j] for j in running_end_by_wall])
-            held = np.array(
-                [cores[j] for j in running_end_by_wall], dtype=np.int64
-            )
-            profile = CapacityProfile.from_running(capacity, now, ends, held)
+        arr = np.asarray(pending)
+        order = policy.order(submit[arr], cores[arr], walltime[arr], now)
+        ranked = [int(j) for j in arr[order]]
+        if clock is not None:
+            clock.mark("profile_rebuild")
+        ends = np.array([running_end_by_wall[j] for j in running_end_by_wall])
+        held = np.array(
+            [cores[j] for j in running_end_by_wall], dtype=np.int64
+        )
+        profile = CapacityProfile.from_running(capacity, now, ends, held)
         started: list[int] = []
-        with fine.span("backfill_scan"):
-            for j in ranked:
-                t0 = profile.earliest_fit(int(cores[j]), float(walltime[j]), now)
-                profile.reserve(t0, float(walltime[j]), int(cores[j]))
-                if np.isnan(promised[j]):
-                    promised[j] = t0
-                    if emit is not None and t0 > now:
-                        emit(
-                            ev.RESERVATION,
-                            now,
-                            j,
-                            shadow=float(t0),
-                            queue=len(pending),
-                            free=int(free),
-                        )
-                if t0 <= now:
-                    start[j] = now
-                    running_end_by_wall[j] = now + float(walltime[j])
-                    heapq.heappush(finish_heap, (now + float(runtime[j]), j))
-                    started.append(j)
-                    free -= int(cores[j])
-                    if emit is not None:
-                        emit(
-                            ev.START,
-                            now,
-                            j,
-                            cores=int(cores[j]),
-                            free=int(free),
-                            queue=len(pending),
-                            wait=float(now - submit[j]),
-                        )
-                    if metrics is not None:
-                        c_started.inc()
-                        h_wait.observe(now - submit[j])
+        if clock is not None:
+            clock.mark("backfill_scan")
+        for j in ranked:
+            t0 = profile.earliest_fit(int(cores[j]), float(walltime[j]), now)
+            profile.reserve(t0, float(walltime[j]), int(cores[j]))
+            if np.isnan(promised[j]):
+                promised[j] = t0
+                if emit is not None and t0 > now:
+                    emit(
+                        ev.RESERVATION,
+                        now,
+                        j,
+                        shadow=float(t0),
+                        queue=len(pending),
+                        free=int(free),
+                    )
+            if t0 <= now:
+                start[j] = now
+                running_end_by_wall[j] = now + float(walltime[j])
+                heapq.heappush(finish_heap, (now + float(runtime[j]), j))
+                started.append(j)
+                free -= int(cores[j])
+                if emit is not None:
+                    emit(
+                        ev.START,
+                        now,
+                        j,
+                        cores=int(cores[j]),
+                        free=int(free),
+                        queue=len(pending),
+                        wait=float(now - submit[j]),
+                    )
+                if metrics is not None:
+                    c_started.inc()
+                    h_wait.observe(now - submit[j])
         for j in started:
             pending.remove(j)
 
@@ -169,47 +171,52 @@ def simulate_conservative(
         capacity=int(capacity),
     )
     root_span.__enter__()
+    clock = PhaseClock(prof) if prof.enabled else None
     while next_submit < n or finish_heap:
         t_sub = submit[next_submit] if next_submit < n else INF
         t_fin = finish_heap[0][0] if finish_heap else INF
         now = min(t_sub, t_fin)
         if metrics is not None:
             metrics.sample(now)
-        with fine.span("event_drain"):
-            while finish_heap and finish_heap[0][0] <= now:
-                _, j = heapq.heappop(finish_heap)
-                del running_end_by_wall[j]
-                free += int(cores[j])
-                if emit is not None:
-                    emit(
-                        ev.FINISH,
-                        now,
-                        j,
-                        cores=int(cores[j]),
-                        free=int(free),
-                        outcome="completed",
-                    )
-                if metrics is not None:
-                    c_finished.inc()
-            while next_submit < n and submit[next_submit] <= now:
-                pending.append(next_submit)
-                if emit is not None:
-                    emit(
-                        ev.SUBMIT,
-                        now,
-                        next_submit,
-                        submitted=float(submit[next_submit]),
-                        cores=int(cores[next_submit]),
-                        queue=len(pending),
-                    )
-                if metrics is not None:
-                    c_submitted.inc()
-                next_submit += 1
-        schedule(now)
+        while finish_heap and finish_heap[0][0] <= now:
+            _, j = heapq.heappop(finish_heap)
+            del running_end_by_wall[j]
+            free += int(cores[j])
+            if emit is not None:
+                emit(
+                    ev.FINISH,
+                    now,
+                    j,
+                    cores=int(cores[j]),
+                    free=int(free),
+                    outcome="completed",
+                )
+            if metrics is not None:
+                c_finished.inc()
+        while next_submit < n and submit[next_submit] <= now:
+            pending.append(next_submit)
+            if emit is not None:
+                emit(
+                    ev.SUBMIT,
+                    now,
+                    next_submit,
+                    submitted=float(submit[next_submit]),
+                    cores=int(cores[next_submit]),
+                    queue=len(pending),
+                )
+            if metrics is not None:
+                c_submitted.inc()
+            next_submit += 1
+        if clock is None:
+            schedule(now)
+        else:
+            clock.round(schedule, now)
         if metrics is not None:
             g_free.set(free)
             g_queue.set(len(pending))
             g_util.set((capacity - free) / capacity)
+    if clock is not None:
+        clock.report()
     root_span.__exit__(None, None, None)
 
     assert not pending and np.all(start >= 0), "scheduler left jobs unserved"

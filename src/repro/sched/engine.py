@@ -4,7 +4,7 @@
 run to the vectorized engine of its semantics (:mod:`repro.sched.fast`,
 :mod:`repro.sched.fast_faults`).  :func:`simulate_reference` is the
 readable EASY-family loop those engines are bit-identical to, kept as
-their differential specification and as the fine-profiled fallback.
+their differential specification.
 
 Event-driven (no time stepping): the only events are job submissions and job
 completions, kept in sorted order / a heap.  After draining the events at the
@@ -19,9 +19,11 @@ Observability (:mod:`repro.obs`) is wired through but strictly optional:
 ``tracer`` receives the decision log (submit/start/finish/reservation/
 backfill events with queue depth, free cores and shadow times), ``metrics``
 collects counters/gauges/histograms plus a sim-time utilization series, and
-``profiler`` times the hot paths (event drain, policy sort, backfill scan).
-All three default to no-ops, and an instrumented run is bit-identical to an
-uninstrumented one — the sinks observe, they never decide.
+``profiler`` receives the engine's per-phase wall time (event drain, policy
+sort, backfill scan), summed by a :class:`~repro.obs.profiling.PhaseClock`
+and reported once per run.  All three default to no-ops, and an
+instrumented run is bit-identical to an uninstrumented one — the sinks
+observe, they never decide.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs import events as ev
-from ..obs.profiling import NULL_PROFILER
+from ..obs.profiling import NULL_PROFILER, PhaseClock
 from .backfill import BackfillConfig, EASY
 from .cluster import Cluster
 from .job import SimWorkload
@@ -152,30 +154,25 @@ def simulate(
     metrics:
         Optional :class:`~repro.obs.Metrics` registry.
     profiler:
-        Optional :class:`~repro.obs.Profiler` timing the hot paths.
+        Optional :class:`~repro.obs.Profiler` receiving the engine's
+        ``simulate`` root span and its ``event_drain`` / ``policy_sort`` /
+        ``backfill_scan`` phase times.
 
     Every run takes the vectorized engine of its semantics —
     :func:`~repro.sched.fast.simulate_fast`, or
     :func:`~repro.sched.fast_faults.simulate_fast_with_faults` with
     ``faults`` — which are bit-identical to the readable loops
-    (docs/PERFORMANCE.md).  The one exception is a fine-grained
-    ``profiler`` (``profiler.fine``): only the readable loops
-    (:func:`simulate_reference` and
-    :func:`~repro.sched.faults.simulate_with_faults`) record the
-    per-round ``event_drain`` / ``policy_sort`` / ``backfill_scan``
-    spans, so such a run is served by them, with the same results.
+    (docs/PERFORMANCE.md).
     """
-    readable = profiler is not None and profiler.fine
     if faults is None:
         from .fast import simulate_fast
 
-        run = simulate_reference if readable else simulate_fast
+        run = simulate_fast
         fault_args = ()
     else:
         from .fast_faults import simulate_fast_with_faults
-        from .faults import simulate_with_faults
 
-        run = simulate_with_faults if readable else simulate_fast_with_faults
+        run = simulate_fast_with_faults
         fault_args = (faults,)
     return run(
         workload,
@@ -203,10 +200,8 @@ def simulate_reference(
     profiler=None,
 ) -> SimResult:
     """The readable EASY-family loop: the specification
-    :func:`~repro.sched.fast.simulate_fast` is tested against, and the
-    engine :func:`simulate` hands fine-profiled runs to (only this loop
-    records per-round spans).  Same parameters as :func:`simulate`,
-    without ``faults``.
+    :func:`~repro.sched.fast.simulate_fast` is tested against.  Same
+    parameters as :func:`simulate`, without ``faults``.
     """
     if isinstance(policy, str):
         policy = get_policy(policy)
@@ -227,10 +222,6 @@ def simulate_reference(
     # observability sinks (all optional; hoisted to locals for the hot loop)
     emit = tracer.emit if tracer is not None and tracer.enabled else None
     prof = NULL_PROFILER if profiler is None else profiler
-    # per-round spans only under a fine-grained profiler: a recorded span
-    # costs microseconds while a scheduling round is itself only tens of
-    # microseconds, so coarse mode keeps tracing cheap enough for sweeps
-    fine = prof if prof.fine else NULL_PROFILER
     if metrics is not None:
         g_free = metrics.gauge("sim_free_cores", "unallocated cores")
         g_queue = metrics.gauge("sim_queue_depth", "jobs waiting in the queue")
@@ -332,21 +323,20 @@ def simulate_reference(
         if track_usage:
             decay_usage(now)
         while pending:
-            with fine.span("policy_sort"):
-                arr = np.fromiter(pending, dtype=np.int64, count=len(pending))
-                if track_usage:
-                    context = {
-                        "user": users[arr],
-                        "usage": np.array(
-                            [usage.get(int(u), 0.0) for u in users[arr]]
-                        ),
-                    }
-                else:
-                    context = {}
-                order = policy.order(
-                    submit[arr], cores[arr], walltime[arr], now, **context
-                )
-                ranked = arr[order]
+            arr = np.fromiter(pending, dtype=np.int64, count=len(pending))
+            if track_usage:
+                context = {
+                    "user": users[arr],
+                    "usage": np.array(
+                        [usage.get(int(u), 0.0) for u in users[arr]]
+                    ),
+                }
+            else:
+                context = {}
+            order = policy.order(
+                submit[arr], cores[arr], walltime[arr], now, **context
+            )
+            ranked = arr[order]
             head = int(ranked[0])
             if cluster.can_start(int(cores[head])):
                 start_job(head, now)
@@ -367,40 +357,41 @@ def simulate_reference(
                     free=int(cluster.free),
                 )
             if backfill.enabled:
-                with fine.span("backfill_scan"):
-                    frac = backfill.relax_fraction(len(pending), observed_max_q)
-                    limit = shadow + frac * max(shadow - submit[head], 0.0)
-                    started: list[int] = []
-                    for j in ranked[1:]:
-                        j = int(j)
-                        c = int(cores[j])
-                        if c > cluster.free:
-                            continue
-                        fits_window = now + walltime[j] <= limit
-                        fits_extra = c <= extra
-                        if fits_window or fits_extra:
-                            if emit is not None:
-                                emit(
-                                    ev.BACKFILL,
-                                    now,
-                                    j,
-                                    cores=c,
-                                    fits_window=bool(fits_window),
-                                    fits_extra=bool(fits_extra),
-                                    shadow=float(shadow),
-                                    limit=float(limit),
-                                )
-                            if metrics is not None:
-                                c_backfilled.inc()
-                            start_job(j, now)
-                            backfilled[j] = True
-                            started.append(j)
-                            if not fits_window:
-                                extra -= c
-                            if cluster.free == 0:
-                                break
-                    for j in started:
-                        del pending[j]
+                if clock is not None:
+                    clock.mark("backfill_scan")
+                frac = backfill.relax_fraction(len(pending), observed_max_q)
+                limit = shadow + frac * max(shadow - submit[head], 0.0)
+                started: list[int] = []
+                for j in ranked[1:]:
+                    j = int(j)
+                    c = int(cores[j])
+                    if c > cluster.free:
+                        continue
+                    fits_window = now + walltime[j] <= limit
+                    fits_extra = c <= extra
+                    if fits_window or fits_extra:
+                        if emit is not None:
+                            emit(
+                                ev.BACKFILL,
+                                now,
+                                j,
+                                cores=c,
+                                fits_window=bool(fits_window),
+                                fits_extra=bool(fits_extra),
+                                shadow=float(shadow),
+                                limit=float(limit),
+                            )
+                        if metrics is not None:
+                            c_backfilled.inc()
+                        start_job(j, now)
+                        backfilled[j] = True
+                        started.append(j)
+                        if not fits_window:
+                            extra -= c
+                        if cluster.free == 0:
+                            break
+                for j in started:
+                    del pending[j]
             break
 
     now = float(submit[0])
@@ -414,47 +405,52 @@ def simulate_reference(
         capacity=int(capacity),
     )
     root_span.__enter__()
+    clock = PhaseClock(prof) if prof.enabled else None
     while next_submit < n or finish_heap:
         t_sub = submit[next_submit] if next_submit < n else INF
         t_fin = finish_heap[0][0] if finish_heap else INF
         now = min(t_sub, t_fin)
         if metrics is not None:
             metrics.sample(now)
-        with fine.span("event_drain"):
-            while finish_heap and finish_heap[0][0] <= now:
-                _, j = heapq.heappop(finish_heap)
-                cluster.finish(j)
-                if emit is not None:
-                    emit(
-                        ev.FINISH,
-                        now,
-                        j,
-                        cores=int(cores[j]),
-                        free=int(cluster.free),
-                        outcome="completed",
-                    )
-                if metrics is not None:
-                    c_finished.inc()
-            while next_submit < n and submit[next_submit] <= now:
-                pending[next_submit] = None
-                if emit is not None:
-                    emit(
-                        ev.SUBMIT,
-                        now,
-                        next_submit,
-                        submitted=float(submit[next_submit]),
-                        cores=int(cores[next_submit]),
-                        queue=len(pending),
-                        user=int(users[next_submit]),
-                    )
-                if metrics is not None:
-                    c_submitted.inc()
-                next_submit += 1
-        schedule(now)
+        while finish_heap and finish_heap[0][0] <= now:
+            _, j = heapq.heappop(finish_heap)
+            cluster.finish(j)
+            if emit is not None:
+                emit(
+                    ev.FINISH,
+                    now,
+                    j,
+                    cores=int(cores[j]),
+                    free=int(cluster.free),
+                    outcome="completed",
+                )
+            if metrics is not None:
+                c_finished.inc()
+        while next_submit < n and submit[next_submit] <= now:
+            pending[next_submit] = None
+            if emit is not None:
+                emit(
+                    ev.SUBMIT,
+                    now,
+                    next_submit,
+                    submitted=float(submit[next_submit]),
+                    cores=int(cores[next_submit]),
+                    queue=len(pending),
+                    user=int(users[next_submit]),
+                )
+            if metrics is not None:
+                c_submitted.inc()
+            next_submit += 1
+        if clock is None:
+            schedule(now)
+        else:
+            clock.round(schedule, now)
         if metrics is not None:
             g_free.set(cluster.free)
             g_queue.set(len(pending))
             g_util.set((capacity - cluster.free) / capacity)
+    if clock is not None:
+        clock.report()
     root_span.__exit__(None, None, None)
 
     assert not pending and np.all(start >= 0), "scheduler left jobs unserved"

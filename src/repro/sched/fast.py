@@ -51,8 +51,7 @@ the decoded event streams — bit-exact against the reference and the
 O(n²) oracle.
 
 This is the production EASY-family engine: :func:`repro.sched.simulate`
-runs it for every run except fine-profiled ones, which the readable
-reference loop (:func:`repro.sched.engine.simulate_reference`) serves.
+runs it for every run without ``faults``, profiled ones included.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import numpy as np
 
 from ..obs import events as ev
 from ..obs.columnar import KIND_CODE, ColumnarRecorder
-from ..obs.profiling import NULL_PROFILER
+from ..obs.profiling import NULL_PROFILER, PhaseClock
 from .backfill import BackfillConfig, EASY
 from .engine import SimResult, USAGE_EPS
 from .job import SimWorkload
@@ -100,11 +99,11 @@ def simulate_fast(
     :class:`~repro.obs.columnar.ColumnarRecorder` records in place) or via
     replay into any other tracer when the run completes.  ``metrics``
     updates the same instruments at the same points as the reference, with
-    batched counter increments.  ``profiler`` is supported at coarse
-    granularity (one ``simulate`` root span; the per-round fine spans only
-    exist in the reference engine).  ``tracer=None`` / ``metrics=None``
-    keep the hot loop untouched: un-instrumented results stay bit-identical
-    to instrumented ones.
+    batched counter increments.  ``profiler`` receives one ``simulate``
+    root span with the ``event_drain`` / ``policy_sort`` /
+    ``backfill_scan`` phase sums as its children.  ``tracer=None`` /
+    ``metrics=None`` / ``profiler=None`` keep the hot loop untouched:
+    un-instrumented results stay bit-identical to instrumented ones.
     """
     if isinstance(policy, str):
         policy = get_policy(policy)
@@ -363,6 +362,8 @@ def simulate_fast(
             res_ext((now, head, extra, n_live, free, shadow))
         if not backfill.enabled or rest is None or not len(rest) or free == 0:
             return
+        if clock is not None:
+            clock.mark("backfill_scan")
         q0 = n_live  # the reference defers pending deletes across the scan
         frac = backfill.relax_fraction(n_live, observed_max_q)
         limit = shadow + frac * max(shadow - submit_l[head], 0.0)
@@ -623,6 +624,7 @@ def simulate_fast(
     root_span.__enter__()
     INF = inf
     now = float(submit_l[0])
+    clock = PhaseClock(prof) if prof.enabled else None
     while next_submit < n or finish_heap:
         t_sub = submit_l[next_submit] if next_submit < n else INF
         t_fin = finish_heap[0][0] if finish_heap else INF
@@ -653,13 +655,18 @@ def simulate_fast(
                 c_submitted.inc(hi - next_submit)
             push_batch(next_submit, hi)
             next_submit = hi
-        schedule(now)
+        if clock is None:
+            schedule(now)
+        else:
+            clock.round(schedule, now)
         if rec is not None and len(korder) >= 8192:
             flush_stage()
         if mets:
             g_free.set(free)
             g_queue.set(n_live)
             g_util.set((capacity - free) / capacity)
+    if clock is not None:
+        clock.report()
     root_span.__exit__(None, None, None)
 
     start = np.asarray(start_l, dtype=np.float64)

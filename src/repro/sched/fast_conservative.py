@@ -47,7 +47,7 @@ documented in ``docs/PERFORMANCE.md`` and enforced by
 Instrumented runs (``tracer=`` / ``metrics=``) delegate to the reference
 loop: results are identical by the bit-identity contract, and the
 readable per-event emission is worth more than speed when someone is
-watching.  ``profiler=`` is honoured in the fast path with coarse spans.
+watching.  ``profiler=`` stays on the fast path, which reports its phases.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ..obs.profiling import NULL_PROFILER
+from ..obs.profiling import NULL_PROFILER, PhaseClock
 from .engine import SimResult
 from .fast import STATIC_POLICIES
 from .job import SimWorkload
@@ -170,6 +170,8 @@ def simulate_fast_conservative(
             ranked = arr[order].tolist()
 
         # ---- batched profile rebuild (flat arrays, one vectorized pass)
+        if clock is not None:
+            clock.mark("profile_rebuild")
         if run_ends:
             e = np.maximum(np.asarray(run_ends), now)
             h = np.asarray(run_cores, dtype=np.int64)
@@ -195,6 +197,8 @@ def simulate_fast_conservative(
             T = [now]
             F = [cap]
 
+        if clock is not None:
+            clock.mark("backfill_scan")
         started = 0
         for j in ranked:
             c = cores_l[j]
@@ -268,6 +272,7 @@ def simulate_fast_conservative(
         capacity=int(capacity),
     )
     root_span.__enter__()
+    clock = PhaseClock(prof) if prof.enabled else None
     while next_submit < n or finish_heap:
         t_sub = submit_l[next_submit] if next_submit < n else INF
         t_fin = finish_heap[0][0] if finish_heap else INF
@@ -300,7 +305,12 @@ def simulate_fast_conservative(
                 pend.extend(range(next_submit, hi))
             n_live += hi - next_submit
             next_submit = hi
-        schedule(now)
+        if clock is None:
+            schedule(now)
+        else:
+            clock.round(schedule, now)
+    if clock is not None:
+        clock.report()
     root_span.__exit__(None, None, None)
 
     assert not n_live and bool(np.all(start_np >= 0)), (

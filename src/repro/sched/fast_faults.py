@@ -44,8 +44,8 @@ uses:
 This is the production fault engine (``simulate(faults=...)``).
 Instrumented runs (``tracer=`` / ``metrics=``) delegate to the reference
 loop — identical results by the bit-identity contract, enforced by
-``repro fuzz`` and ``tests/test_fast_engine.py``;
-``profiler=`` gets coarse spans in the fast path.
+``repro fuzz`` and ``tests/test_fast_engine.py``.  ``profiler=`` stays
+on the fast path, which reports its phases.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from bisect import bisect_left, insort
 
 import numpy as np
 
-from ..obs.profiling import NULL_PROFILER
+from ..obs.profiling import NULL_PROFILER, PhaseClock
 from ..traces.schema import JobStatus
 from .backfill import BackfillConfig, EASY
 from .fast import STATIC_POLICIES
@@ -392,6 +392,8 @@ def simulate_fast_with_faults(
             prom_np[head] = shadow
         if not bf_enabled or not len(rest) or free == 0:
             return
+        if clock is not None:
+            clock.mark("backfill_scan")
         frac = relax_fraction(n_live, observed_max_q)
         limit = shadow + frac * max(shadow - submit_l[head], 0.0)
         # vectorized prefilter + masked argmax scan, exactly as fast.py:
@@ -496,6 +498,7 @@ def simulate_fast_with_faults(
         capacity=int(capacity),
     )
     root_span.__enter__()
+    clock = PhaseClock(prof) if prof.enabled else None
     while unfinished > 0:
         t_sub = submit_l[next_submit] if next_submit < n else _INF
         t_ev = events[0][0] if events else _INF
@@ -597,7 +600,12 @@ def simulate_fast_with_faults(
             hi = int(np.searchsorted(submit, now, side="right"))
             q_extend(next_submit, hi)
             next_submit = hi
-        schedule(now)
+        if clock is None:
+            schedule(now)
+        else:
+            clock.round(schedule, now)
+    if clock is not None:
+        clock.report()
     root_span.__exit__(None, None, None)
 
     assert not n_live and min(status_l) >= 0, "jobs left non-terminal"

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs import events as ev
-from ..obs.profiling import NULL_PROFILER
+from ..obs.profiling import NULL_PROFILER, PhaseClock
 from ..traces.schema import JobStatus, Trace
 from .backfill import BackfillConfig, EASY
 from .cluster import Cluster
@@ -581,7 +581,6 @@ def simulate_with_faults(
     # observability sinks (all optional; hoisted to locals for the hot loop)
     emit = tracer.emit if tracer is not None and tracer.enabled else None
     prof = NULL_PROFILER if profiler is None else profiler
-    fine = prof if prof.fine else NULL_PROFILER  # see engine.py
     if metrics is not None:
         g_free = metrics.gauge("sim_free_cores", "unallocated cores")
         g_queue = metrics.gauge("sim_queue_depth", "jobs waiting in the queue")
@@ -693,21 +692,20 @@ def simulate_with_faults(
         if track_usage:
             decay_usage(now)
         while pending:
-            with fine.span("policy_sort"):
-                arr = np.asarray(pending)
-                if track_usage:
-                    context = {
-                        "user": users[arr],
-                        "usage": np.array(
-                            [usage.get(int(u), 0.0) for u in users[arr]]
-                        ),
-                    }
-                else:
-                    context = {}
-                order = policy.order(
-                    submit[arr], cores[arr], walltime[arr], now, **context
-                )
-                ranked = arr[order]
+            arr = np.asarray(pending)
+            if track_usage:
+                context = {
+                    "user": users[arr],
+                    "usage": np.array(
+                        [usage.get(int(u), 0.0) for u in users[arr]]
+                    ),
+                }
+            else:
+                context = {}
+            order = policy.order(
+                submit[arr], cores[arr], walltime[arr], now, **context
+            )
+            ranked = arr[order]
             head = int(ranked[0])
             if cluster.can_start(int(cores[head])):
                 start_job(head, now)
@@ -732,40 +730,41 @@ def simulate_with_faults(
                     free=int(cluster.free),
                 )
             if backfill.enabled:
-                with fine.span("backfill_scan"):
-                    frac = backfill.relax_fraction(len(pending), observed_max_q)
-                    limit = shadow + frac * max(shadow - submit[head], 0.0)
-                    started: list[int] = []
-                    for j in ranked[1:]:
-                        j = int(j)
-                        c = int(cores[j])
-                        if c > cluster.free:
-                            continue
-                        fits_window = now + walltime[j] <= limit
-                        fits_extra = c <= extra
-                        if fits_window or fits_extra:
-                            if emit is not None:
-                                emit(
-                                    ev.BACKFILL,
-                                    now,
-                                    j,
-                                    cores=c,
-                                    fits_window=bool(fits_window),
-                                    fits_extra=bool(fits_extra),
-                                    shadow=float(shadow),
-                                    limit=float(limit),
-                                )
-                            if metrics is not None:
-                                c_backfilled.inc()
-                            start_job(j, now)
-                            backfilled[j] = True
-                            started.append(j)
-                            if not fits_window:
-                                extra -= c
-                            if cluster.free == 0:
-                                break
-                    for j in started:
-                        pending.remove(j)
+                if clock is not None:
+                    clock.mark("backfill_scan")
+                frac = backfill.relax_fraction(len(pending), observed_max_q)
+                limit = shadow + frac * max(shadow - submit[head], 0.0)
+                started: list[int] = []
+                for j in ranked[1:]:
+                    j = int(j)
+                    c = int(cores[j])
+                    if c > cluster.free:
+                        continue
+                    fits_window = now + walltime[j] <= limit
+                    fits_extra = c <= extra
+                    if fits_window or fits_extra:
+                        if emit is not None:
+                            emit(
+                                ev.BACKFILL,
+                                now,
+                                j,
+                                cores=c,
+                                fits_window=bool(fits_window),
+                                fits_extra=bool(fits_extra),
+                                shadow=float(shadow),
+                                limit=float(limit),
+                            )
+                        if metrics is not None:
+                            c_backfilled.inc()
+                        start_job(j, now)
+                        backfilled[j] = True
+                        started.append(j)
+                        if not fits_window:
+                            extra -= c
+                        if cluster.free == 0:
+                            break
+                for j in started:
+                    pending.remove(j)
             break
 
     now = float(submit[0])
@@ -779,6 +778,7 @@ def simulate_with_faults(
         capacity=int(capacity),
     )
     root_span.__enter__()
+    clock = PhaseClock(prof) if prof.enabled else None
     while state.unfinished > 0:
         t_sub = submit[next_submit] if next_submit < n else _INF
         t_ev = events[0][0] if events else _INF
@@ -786,141 +786,145 @@ def simulate_with_faults(
         assert now < _INF, "fault engine stalled with unfinished jobs"
         if metrics is not None:
             metrics.sample(now)
-        with fine.span("event_drain"):
-            while events and events[0][0] <= now:
-                t, prio, _s, payload = heapq.heappop(events)
-                if prio == _P_FINISH:
-                    j, gen, fate = payload  # type: ignore[misc]
-                    if not state.running[j] or state.generation[j] != gen:
-                        continue  # stale: the attempt was killed earlier
-                    cluster.finish(j)
-                    elapsed = t - float(state.attempt_start[j])
-                    retry = state.close_attempt(j, t, fate)
+        while events and events[0][0] <= now:
+            t, prio, _s, payload = heapq.heappop(events)
+            if prio == _P_FINISH:
+                j, gen, fate = payload  # type: ignore[misc]
+                if not state.running[j] or state.generation[j] != gen:
+                    continue  # stale: the attempt was killed earlier
+                cluster.finish(j)
+                elapsed = t - float(state.attempt_start[j])
+                retry = state.close_attempt(j, t, fate)
+                if emit is not None:
+                    emit(
+                        ev.FINISH,
+                        t,
+                        j,
+                        cores=int(cores[j]),
+                        free=int(cluster.free),
+                        outcome=_OUTCOME_LABELS[fate],
+                        attempt=int(state.attempts[j]),
+                        terminal=not retry,
+                    )
+                if metrics is not None:
+                    c_finished.inc()
+                    h_attempt.observe(elapsed)
+                if retry:
+                    delay = state.backoff(j)
                     if emit is not None:
                         emit(
-                            ev.FINISH,
+                            ev.RETRY,
                             t,
                             j,
-                            cores=int(cores[j]),
-                            free=int(cluster.free),
-                            outcome=_OUTCOME_LABELS[fate],
                             attempt=int(state.attempts[j]),
-                            terminal=not retry,
+                            delay=float(delay),
+                            resume=float(t + delay),
+                            cause="intrinsic_failure",
                         )
                     if metrics is not None:
-                        c_finished.inc()
+                        c_retries.inc()
+                    push(t + delay, _P_RESUBMIT, j)
+            elif prio == _P_FAIL:
+                node = payload  # type: ignore[assignment]
+                victims = cluster.fail_node(node)  # type: ignore[attr-defined]
+                if emit is not None:
+                    emit(
+                        ev.NODE_FAIL,
+                        t,
+                        node=int(node),
+                        victims=[int(v) for v in victims],
+                        free=int(cluster.free),
+                    )
+                if metrics is not None:
+                    c_node_fail.inc()
+                ci = faults.checkpoint_interval
+                for j in victims:
+                    elapsed = t - float(state.attempt_start[j])
+                    retry = state.node_kill(j, t)
+                    if metrics is not None:
                         h_attempt.observe(elapsed)
-                    if retry:
-                        delay = state.backoff(j)
-                        if emit is not None:
-                            emit(
-                                ev.RETRY,
-                                t,
-                                j,
-                                attempt=int(state.attempts[j]),
-                                delay=float(delay),
-                                resume=float(t + delay),
-                                cause="intrinsic_failure",
-                            )
-                        if metrics is not None:
-                            c_retries.inc()
-                        push(t + delay, _P_RESUBMIT, j)
-                elif prio == _P_FAIL:
-                    node = payload  # type: ignore[assignment]
-                    victims = cluster.fail_node(node)  # type: ignore[attr-defined]
+                    if not retry:
+                        continue
+                    delay = state.backoff(j)
                     if emit is not None:
+                        if ci:
+                            saved = math.floor(elapsed / ci) * ci
+                            if saved > 0:
+                                emit(
+                                    ev.CHECKPOINT,
+                                    t,
+                                    j,
+                                    saved=float(saved),
+                                    lost=float(elapsed - saved),
+                                )
                         emit(
-                            ev.NODE_FAIL,
+                            ev.RETRY,
                             t,
-                            node=int(node),
-                            victims=[int(v) for v in victims],
-                            free=int(cluster.free),
+                            j,
+                            attempt=int(state.attempts[j]),
+                            delay=float(delay),
+                            resume=float(t + delay),
+                            cause="node_failure",
                         )
                     if metrics is not None:
-                        c_node_fail.inc()
-                    ci = faults.checkpoint_interval
-                    for j in victims:
-                        elapsed = t - float(state.attempt_start[j])
-                        retry = state.node_kill(j, t)
-                        if metrics is not None:
-                            h_attempt.observe(elapsed)
-                        if not retry:
-                            continue
-                        delay = state.backoff(j)
-                        if emit is not None:
-                            if ci:
-                                saved = math.floor(elapsed / ci) * ci
-                                if saved > 0:
-                                    emit(
-                                        ev.CHECKPOINT,
-                                        t,
-                                        j,
-                                        saved=float(saved),
-                                        lost=float(elapsed - saved),
-                                    )
-                            emit(
-                                ev.RETRY,
-                                t,
-                                j,
-                                attempt=int(state.attempts[j]),
-                                delay=float(delay),
-                                resume=float(t + delay),
-                                cause="node_failure",
-                            )
-                        if metrics is not None:
-                            c_retries.inc()
-                        push(t + delay, _P_RESUBMIT, j)
-                    fail_t.append(t)
-                    fail_n.append(int(node))
-                    push(t + rng.exponential(faults.node_mttr), _P_REPAIR, node)
-                elif prio == _P_REPAIR:
-                    cluster.repair_node(payload)  # type: ignore[attr-defined]
-                    repair_t.append(t)
-                    if emit is not None:
-                        emit(
-                            ev.NODE_REPAIR,
-                            t,
-                            node=int(payload),
-                            free=int(cluster.free),
-                        )
-                    if metrics is not None:
-                        c_node_repair.inc()
-                    push(t + rng.exponential(faults.node_mtbf), _P_FAIL, payload)
-                else:  # _P_RESUBMIT
-                    pending.append(payload)  # type: ignore[arg-type]
-                    if emit is not None:
-                        emit(
-                            ev.SUBMIT,
-                            t,
-                            payload,
-                            submitted=float(t),
-                            cores=int(cores[payload]),
-                            queue=len(pending),
-                            user=int(users[payload]),
-                            resubmitted=True,
-                        )
-                    if metrics is not None:
-                        c_submitted.inc()
-            while next_submit < n and submit[next_submit] <= now:
-                pending.append(next_submit)
+                        c_retries.inc()
+                    push(t + delay, _P_RESUBMIT, j)
+                fail_t.append(t)
+                fail_n.append(int(node))
+                push(t + rng.exponential(faults.node_mttr), _P_REPAIR, node)
+            elif prio == _P_REPAIR:
+                cluster.repair_node(payload)  # type: ignore[attr-defined]
+                repair_t.append(t)
+                if emit is not None:
+                    emit(
+                        ev.NODE_REPAIR,
+                        t,
+                        node=int(payload),
+                        free=int(cluster.free),
+                    )
+                if metrics is not None:
+                    c_node_repair.inc()
+                push(t + rng.exponential(faults.node_mtbf), _P_FAIL, payload)
+            else:  # _P_RESUBMIT
+                pending.append(payload)  # type: ignore[arg-type]
                 if emit is not None:
                     emit(
                         ev.SUBMIT,
-                        now,
-                        next_submit,
-                        submitted=float(submit[next_submit]),
-                        cores=int(cores[next_submit]),
+                        t,
+                        payload,
+                        submitted=float(t),
+                        cores=int(cores[payload]),
                         queue=len(pending),
-                        user=int(users[next_submit]),
+                        user=int(users[payload]),
+                        resubmitted=True,
                     )
                 if metrics is not None:
                     c_submitted.inc()
-                next_submit += 1
-        schedule(now)
+        while next_submit < n and submit[next_submit] <= now:
+            pending.append(next_submit)
+            if emit is not None:
+                emit(
+                    ev.SUBMIT,
+                    now,
+                    next_submit,
+                    submitted=float(submit[next_submit]),
+                    cores=int(cores[next_submit]),
+                    queue=len(pending),
+                    user=int(users[next_submit]),
+                )
+            if metrics is not None:
+                c_submitted.inc()
+            next_submit += 1
+        if clock is None:
+            schedule(now)
+        else:
+            clock.round(schedule, now)
         if metrics is not None:
             g_free.set(cluster.free)
             g_queue.set(len(pending))
             g_util.set((capacity - cluster.free) / capacity)
+    if clock is not None:
+        clock.report()
     root_span.__exit__(None, None, None)
 
     assert not pending and np.all(state.status >= 0), "jobs left non-terminal"

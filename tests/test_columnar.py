@@ -42,6 +42,7 @@ from repro.obs import (
     summarize_events,
     utilization_series,
 )
+from repro.obs.columnar import KIND_CODE
 from repro.sched import (
     EASY,
     NO_BACKFILL,
@@ -149,23 +150,21 @@ class TestRecorder:
 
     def test_growth_from_tiny_capacity(self):
         rec = ColumnarRecorder(capacity=16)
-        rows = [(2, float(i), i, 1, 1, 0, float(i), 0.0) for i in range(1000)]
-        rec.append_rows(rows)
+        k = 1000
+        ramp = np.arange(k)
+        # two blocks, so the second append grows a partly filled buffer
+        for lo, hi in ((0, 10), (10, k)):
+            sl = slice(lo, hi)
+            rec.append_arrays(
+                np.full(hi - lo, KIND_CODE["submit"], dtype=np.int8),
+                ramp[sl].astype(np.float64), ramp[sl], np.ones(hi - lo),
+                np.ones(hi - lo), np.zeros(hi - lo),
+                ramp[sl].astype(np.float64), np.zeros(hi - lo),
+            )
         events = rec.to_events()
-        assert len(events) == 1000
+        assert len(events) == k
+        assert [e["job"] for e in events] == list(range(k))
         assert events[-1]["t"] == 999.0
-
-    def test_append_batch_vectorized(self):
-        rec = ColumnarRecorder()
-        jobs = np.arange(5, dtype=np.int64)
-        rec.append_batch(
-            "submit", t=2.0, job=jobs, i0=np.full(5, 3),
-            i1=np.arange(1, 6), i2=0, f0=2.0,
-        )
-        events = rec.to_events()
-        assert [e["job"] for e in events] == [0, 1, 2, 3, 4]
-        assert [e["queue"] for e in events] == [1, 2, 3, 4, 5]
-        assert all(e["cores"] == 3 for e in events)
 
     def test_npz_roundtrip_exact(self, tmp_path):
         wl = _workload(n=80, seed=5)

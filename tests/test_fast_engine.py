@@ -19,11 +19,11 @@ suite enforces that contract:
 * the satellite bugfixes: fair-share usage pruning (``USAGE_EPS``) and
   the normalized ``queue_samples`` / fault-array dtypes;
 * the wiring surfaces: ``simulate()`` dispatching every run to the fast
-  family (the ``faults=`` path included) and only fine-profiled runs to
-  the readable loops, ``run_sweep`` and the experiments' sweep cells,
-  the fuzzer's per-configuration engine set, and the CLI paths that now
-  take the fast engines (cross-checked against the readable loops that
-  ``--profile`` selects).
+  family (the ``faults=`` and ``profiler=`` paths included),
+  ``run_sweep`` and the experiments' sweep cells, the fuzzer's
+  per-configuration engine set, and the CLI paths that take the fast
+  engines (cross-checked against the same CLI runs with ``simulate``
+  routed to the readable loops).
 """
 
 import numpy as np
@@ -538,28 +538,45 @@ class TestEngineDispatch:
         _assert_fault_identical(via_dispatch, direct, "dispatch vs direct")
         _assert_fault_identical(via_dispatch, reference, "dispatch vs ref")
 
-    def test_fine_profiler_routes_to_readable_loop(self):
-        """Only a fine-grained profiler selects the readable loops (they
-        alone record per-round spans); a coarse one stays on the fast
-        engines.  Results are identical either way."""
+    def test_profiler_stays_on_twin(self):
+        """Any profiled run stays on the fast twin of its semantics, which
+        reports its own phases under its root span; the results are
+        bit-identical to an unprofiled run."""
         from repro.obs import Profiler
 
-        wl = self._wl()
+        wl = _burst_workload(n=200, seed=3)
         cfg = FaultConfig(node_mtbf=3600.0, n_nodes=4, seed=2)
-        for faults, readable, fast in (
-            (None, "easy", "fast"),
-            (cfg, "faults", "fast-faults"),
-        ):
-            fine, coarse = Profiler(), Profiler(fine=False)
-            a = simulate(wl, CAPACITY, "sjf", EASY, faults=faults, profiler=fine)
-            b = simulate(
-                wl, CAPACITY, "sjf", EASY, faults=faults, profiler=coarse
-            )
-            _assert_identical(a, b, f"faults={faults is not None}")
-            assert _root_engine(fine) == readable
-            assert _root_engine(coarse) == fast
-            assert "policy_sort" in fine.as_dict()["spans"]
-            assert "policy_sort" not in coarse.as_dict()["spans"]
+        relax = relaxed(0.5)
+        runs = (
+            ("fast", lambda p: simulate(wl, 8, "sjf", relax, profiler=p),
+             _assert_identical, ()),
+            ("fast-faults",
+             lambda p: simulate(wl, 8, "sjf", relax, faults=cfg, profiler=p),
+             _assert_fault_identical, ()),
+            ("fast-conservative",
+             lambda p: simulate_fast_conservative(wl, 8, "sjf", profiler=p),
+             _assert_identical, ("profile_rebuild",)),
+        )
+        for engine, run, same, extra in runs:
+            prof = Profiler()
+            same(run(None), run(prof), engine)
+            assert _root_engine(prof) == engine
+            spans = prof.to_payload()["spans"]
+            (root,) = [r for r in spans if r["name"] == "simulate"]
+            phases = {r["name"]: r for r in spans if r["parent"] == root["id"]}
+            expected = {"event_drain", "policy_sort", "backfill_scan", *extra}
+            assert set(phases) == expected, engine
+            stats = prof.as_dict()["spans"]
+            assert all(stats[name]["calls"] > 0 for name in expected)
+            phase_self = sum(stats[name]["self_s"] for name in expected)
+            assert phase_self <= stats["simulate"]["total_s"], engine
+            # each phase row is one child record as wide as its sum
+            for name, rec in phases.items():
+                assert rec["args"]["calls"] == stats[name]["calls"]
+                assert rec["t1"] - rec["t0"] == pytest.approx(
+                    stats[name]["total_s"]
+                )
+                assert root["t0"] <= rec["t0"] <= rec["t1"] <= root["t1"]
 
     def test_fast_accepts_event_hooks(self):
         from repro.obs import Metrics, RingBufferTracer, check_events
@@ -784,33 +801,67 @@ def swf_path(tmp_path_factory):
     return path
 
 
+def _main_readable(monkeypatch, args) -> int:
+    """Run the CLI with ``simulate`` served by the readable loops
+    (``simulate_reference`` / ``simulate_with_faults``) instead of the
+    fast twins, so comparing its output with a plain run is a real
+    fast-vs-readable differential.  Both CLI paths are rerouted: the
+    direct one that observability flags take and the in-process sweep
+    cell that a plain run takes."""
+    import repro.cli
+    import repro.runner.sweep
+
+    served = []
+
+    def readable(workload, capacity, policy, backfill, faults=None, **kw):
+        served.append(policy)
+        if faults is None:
+            return simulate_reference(workload, capacity, policy, backfill, **kw)
+        return simulate_with_faults(
+            workload, capacity, policy, backfill, faults, **kw
+        )
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.cli, "simulate", readable)
+        patch.setattr(repro.runner.sweep, "simulate", readable)
+        code = main(args)
+    assert served, "the CLI run bypassed the readable loops"
+    return code
+
+
 class TestCliEngineFlag:
-    def test_simulate_fast_matches_easy_table(self, swf_path, capsys):
+    def test_simulate_fast_matches_easy_table(
+        self, swf_path, capsys, monkeypatch
+    ):
         for policy in ("fcfs", "sjf"):
             args = ["simulate", str(swf_path), "--policy", policy]
             assert main(args) == 0
             fast_out = capsys.readouterr().out
-            assert main(args + ["--profile"]) == 0
-            assert capsys.readouterr().out.startswith(fast_out)
+            assert _main_readable(monkeypatch, args) == 0
+            assert capsys.readouterr().out == fast_out
 
-    def test_fast_fault_run_matches_easy(self, swf_path, capsys):
+    def test_fast_fault_run_matches_easy(self, swf_path, capsys, monkeypatch):
         """A fault run prints the exact table the readable fault loop
         produces."""
         args = ["simulate", str(swf_path), "--mtbf-hours", "5", "--retries", "2"]
         assert main(args) == 0
         fast_out = capsys.readouterr().out
-        assert main(args + ["--profile"]) == 0
-        assert capsys.readouterr().out.startswith(fast_out)
+        assert _main_readable(monkeypatch, args) == 0
+        assert capsys.readouterr().out == fast_out
         assert "faults" in fast_out
 
-    def test_fast_trace_out_matches_easy(self, swf_path, tmp_path, capsys):
+    def test_fast_trace_out_matches_easy(
+        self, swf_path, tmp_path, capsys, monkeypatch
+    ):
         """--trace-out on the fast engine writes the readable loop's
         stream byte for byte, modulo the run_start engine field."""
         easy_path = tmp_path / "easy.jsonl"
         fast_path = tmp_path / "fast.jsonl"
         base = ["simulate", str(swf_path)]
         assert main(base + ["--trace-out", str(fast_path)]) == 0
-        assert main(base + ["--trace-out", str(easy_path), "--profile"]) == 0
+        assert _main_readable(
+            monkeypatch, base + ["--trace-out", str(easy_path)]
+        ) == 0
         capsys.readouterr()
         easy_lines = easy_path.read_text().splitlines()
         fast_lines = fast_path.read_text().splitlines()
@@ -828,8 +879,7 @@ class TestCliEngineFlag:
         assert "hot-path" in capsys.readouterr().out
 
     def test_profile_reports_round_phases(self, swf_path, capsys):
-        """repro profile keeps the per-round phase breakdown through the
-        fine-profiler fallback to the readable loop."""
+        """repro profile prints the fast engine's own phase breakdown."""
         assert main(["profile", str(swf_path), "--backfill", "relaxed"]) == 0
         out = capsys.readouterr().out
         for phase in ("event_drain", "policy_sort", "backfill_scan"):
@@ -860,7 +910,9 @@ class TestCliEngineFlag:
         assert main(["fuzz", "--budget", "2", "--policy", "fcfs,easy"]) == 0
         assert "ok:" in capsys.readouterr().out
 
-    def test_metrics_out_payload_identical(self, swf_path, tmp_path, capsys):
+    def test_metrics_out_payload_identical(
+        self, swf_path, tmp_path, capsys, monkeypatch
+    ):
         """--metrics-out on the fast engine writes the exact payload the
         readable loop does (instrument-for-instrument, sample-for-
         sample)."""
@@ -868,6 +920,8 @@ class TestCliEngineFlag:
         fast_path = tmp_path / "fast.json"
         base = ["simulate", str(swf_path)]
         assert main(base + ["--metrics-out", str(fast_path)]) == 0
-        assert main(base + ["--metrics-out", str(easy_path), "--profile"]) == 0
+        assert _main_readable(
+            monkeypatch, base + ["--metrics-out", str(easy_path)]
+        ) == 0
         capsys.readouterr()
         assert easy_path.read_text() == fast_path.read_text()

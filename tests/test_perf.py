@@ -120,6 +120,31 @@ class TestSpanTree:
         assert [s["name"] for s in spans] == ["inner", "outer"]
         assert all(s.get("partial") for s in spans)
 
+    def test_phase_clock_reports_children_of_open_span(self):
+        """Phase sums land as aggregates and as children of the open span,
+        whose self time shrinks by exactly their total."""
+        from repro.obs.profiling import PhaseClock
+
+        prof = Profiler()
+        with prof.span("simulate"):
+            clock = PhaseClock(prof)
+            for _ in range(3):
+                clock.round(time.sleep, 0.001)
+            clock.report()
+        rows = prof.as_dict()["spans"]
+        assert rows["policy_sort"]["calls"] == rows["event_drain"]["calls"] == 3
+        phases_s = rows["policy_sort"]["total_s"] + rows["event_drain"]["total_s"]
+        root = rows["simulate"]
+        assert root["self_s"] == pytest.approx(root["total_s"] - phases_s)
+        spans = prof.to_payload()["spans"]
+        (root_rec,) = [s for s in spans if s["name"] == "simulate"]
+        kids = [s for s in spans if s["parent"] == root_rec["id"]]
+        assert [k["name"] for k in kids] == ["event_drain", "policy_sort"]
+        assert all(k["args"]["calls"] == 3 for k in kids)
+        assert kids[0]["t0"] == root_rec["t0"] and kids[0]["t1"] == kids[1]["t0"]
+        assert "simulate;policy_sort" in collapse_spans(prof.to_payload())
+        assert payload_roundtrips(prof)
+
     def test_max_spans_cap_counts_drops(self):
         prof = Profiler(max_spans=5)
         for _ in range(9):
@@ -289,32 +314,24 @@ class TestSweepAggregation:
         assert {"cell", "simulate", "execute", "fingerprint"} <= names
         assert any("simulate" in path for path in perf.trace.collapsed())
 
-    def test_fine_spans_opt_in_records_engine_rounds(self):
-        """Per-round engine spans appear only under ``fine_spans=True``.
-
-        The coarse default keeps the sweep inside the <5% overhead budget
-        (benchmarks/test_bench_obs_overhead.py); the fine mode trades that
-        budget for exact per-round timing.
-        """
-        tasks = grid(wl(), policies=("fcfs",))
-        coarse = PerfConfig()
-        run_sweep(tasks, perf=coarse)
-        fine = PerfConfig(fine_spans=True)
-        run_sweep(tasks, perf=fine)
-
-        round_spans = {"policy_sort", "backfill_scan", "event_drain"}
-
-        def span_names(cfg):
-            return {
-                s["name"]
-                for cell in cfg.trace.cells
-                for s in cell["profile"]["spans"]
-            }
-
-        assert span_names(coarse) & round_spans == set()
-        assert round_spans <= span_names(fine)
-        # granularity only changes what is observed, never the schedule
-        assert [r.payload() for r in run_sweep(tasks, perf=fine)] == [
+    def test_cells_carry_engine_phases(self):
+        """Every traced cell carries the engine's phase sums as children
+        of its ``simulate`` span, on the fast engine, at the default
+        tracing config; tracing never changes a payload."""
+        tasks = grid(wl(n=60), policies=("fcfs", "sjf"))
+        perf = PerfConfig()
+        traced = run_sweep(tasks, perf=perf)
+        assert perf.trace.n_cells == len(tasks)
+        for cell in perf.trace.cells:
+            spans = cell["profile"]["spans"]
+            (root,) = [s for s in spans if s["name"] == "simulate"]
+            assert root["args"]["engine"] == "fast"
+            phases = {s["name"]: s for s in spans if s["parent"] == root["id"]}
+            assert set(phases) == {"event_drain", "policy_sort", "backfill_scan"}
+            assert all(s["args"]["calls"] > 0 for s in phases.values())
+            width = sum(s["t1"] - s["t0"] for s in phases.values())
+            assert width <= root["t1"] - root["t0"]
+        assert [r.payload() for r in traced] == [
             r.payload() for r in run_sweep(tasks)
         ]
 

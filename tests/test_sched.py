@@ -402,3 +402,11 @@ class TestImportEdges:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert out.stdout.strip() == "False"
+
+    def test_conservative_annotations_resolve(self):
+        """Every name simulate_conservative's annotations use is imported."""
+        import typing
+
+        from repro.sched import simulate_conservative
+
+        assert typing.get_type_hints(simulate_conservative)["workload"] is SimWorkload
