@@ -14,6 +14,7 @@ every analysis of the paper as one method each, so the quickstart is::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..predict.harness import ElapsedComparison, run_use_case1
 from ..traces.schema import Trace
@@ -22,7 +23,7 @@ from .adaptive import AdaptiveComparison, run_use_case2
 from .corehours import CoreHourShares, core_hour_shares
 from .failures import StatusByClass, StatusShares, status_by_class, status_shares
 from .geometry import GeometrySummary, analyze_geometry
-from .takeaways import TakeawayResult, evaluate_takeaways
+from .takeaways import TakeawayResult, study_takeaways
 from .users import (
     QueueConditioned,
     RepetitionSummary,
@@ -43,10 +44,21 @@ SIMULATABLE = ("blue_waters", "mira", "theta")
 
 @dataclass
 class CrossSystemStudy:
-    """A set of per-system traces plus every paper analysis."""
+    """A set of per-system traces plus every paper analysis.
+
+    Each characterization (``geometry`` ... ``user_status_profiles``, and
+    the analyses ``takeaways`` reads) is computed once per system and
+    argument set, then served from a memo.  A memo entry is keyed by the
+    analysis, its arguments and the identity of the trace it ran on, so
+    assigning a new trace to ``traces[name]`` recomputes that system.  The
+    memo treats traces as read-only: a trace whose columns are modified in
+    place keeps serving its old results.  ``prediction`` and
+    ``backfilling`` are not memoized.
+    """
 
     traces: dict[str, Trace]
     meta: dict = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def generate(
@@ -68,64 +80,71 @@ class CrossSystemStudy:
         """Names of the systems under study."""
         return list(self.traces)
 
+    def _analysis(self, fn: Callable, name: str, *args, **kwargs):
+        """``fn(self.traces[name], *args, **kwargs)``, computed once."""
+        trace = self.traces[name]
+        key = (fn, name, args, tuple(sorted(kwargs.items())))
+        hit = self._memo.get(key)
+        if hit is None or hit[0] is not trace:
+            hit = self._memo[key] = (trace, fn(trace, *args, **kwargs))
+        return hit[1]
+
+    def _each(self, fn: Callable, *args, **kwargs) -> dict:
+        return {n: self._analysis(fn, n, *args, **kwargs) for n in self.traces}
+
     # ------------------------------------------------------------------
     # Figures
     # ------------------------------------------------------------------
     def geometry(self) -> dict[str, GeometrySummary]:
         """Fig 1: job geometries per system."""
-        return {n: analyze_geometry(t) for n, t in self.traces.items()}
+        return self._each(analyze_geometry)
 
     def core_hours(self) -> dict[str, CoreHourShares]:
         """Fig 2: core-hour domination per system."""
-        return {n: core_hour_shares(t) for n, t in self.traces.items()}
+        return self._each(core_hour_shares)
 
     def utilization(self, n_buckets: int = 100) -> dict[str, list[UtilizationSeries]]:
         """Fig 3: utilization series per system."""
-        return {
-            n: analyze_utilization(t, n_buckets) for n, t in self.traces.items()
-        }
+        return self._each(analyze_utilization, n_buckets)
 
     def waiting(self) -> dict[str, WaitSummary]:
         """Fig 4: wait/turnaround CDFs per system."""
-        return {n: wait_summary(t) for n, t in self.traces.items()}
+        return self._each(wait_summary)
 
     def waiting_by_class(self) -> dict[str, WaitByClass]:
         """Fig 5: wait vs geometry classes per system."""
-        return {n: wait_by_class(t) for n, t in self.traces.items()}
+        return self._each(wait_by_class)
 
     def failures(self) -> dict[str, StatusShares]:
         """Fig 6: status distribution per system."""
-        return {n: status_shares(t) for n, t in self.traces.items()}
+        return self._each(status_shares)
 
     def failures_by_class(self) -> dict[str, StatusByClass]:
         """Fig 7: status vs geometry per system."""
-        return {n: status_by_class(t) for n, t in self.traces.items()}
+        return self._each(status_by_class)
 
     def repetition(self, **kwargs) -> dict[str, RepetitionSummary]:
         """Fig 8: per-user resource-config repetition."""
-        return {n: repetition_summary(t, **kwargs) for n, t in self.traces.items()}
+        return self._each(repetition_summary, **kwargs)
 
     def size_vs_queue(self) -> dict[str, QueueConditioned]:
         """Fig 9: requested size vs queue length."""
-        return {n: size_vs_queue(t) for n, t in self.traces.items()}
+        return self._each(size_vs_queue)
 
     def runtime_vs_queue(self) -> dict[str, QueueConditioned]:
         """Fig 10: runtime vs queue length."""
-        return {n: runtime_vs_queue(t) for n, t in self.traces.items()}
+        return self._each(runtime_vs_queue)
 
     def user_status_profiles(self, n_users: int = 3) -> dict[str, list[UserStatusProfile]]:
         """Fig 11: per-user runtime-by-status profiles."""
-        return {
-            n: top_user_status_profiles(t, n_users)
-            for n, t in self.traces.items()
-        }
+        return self._each(top_user_status_profiles, n_users)
 
     # ------------------------------------------------------------------
     # Takeaways and use cases
     # ------------------------------------------------------------------
     def takeaways(self) -> list[TakeawayResult]:
         """Evaluate the paper's eight takeaways on these traces."""
-        return evaluate_takeaways(self.traces)
+        return study_takeaways(self)
 
     def prediction(self, systems: list[str] | None = None, **kwargs) -> dict[str, ElapsedComparison]:
         """Use case 1 (Fig 12): elapsed-time runtime prediction."""

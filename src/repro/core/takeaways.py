@@ -3,22 +3,24 @@
 Each takeaway is a concrete, checkable claim over a set of per-system
 traces.  ``evaluate_takeaways`` runs all eight and returns structured
 verdicts — the reproduction's "did the qualitative findings hold" summary,
-also exercised by the test suite.
+also exercised by the test suite.  The verdicts read their analyses from a
+:class:`~repro.core.study.CrossSystemStudy`, so a study that has already
+rendered its figures computes none of them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..traces.schema import Trace
 from ..traces.systems import SystemKind
-from .corehours import core_hour_shares
-from .failures import status_by_class, status_shares
-from .geometry import allocation_summary, arrival_summary, runtime_summary
-from .users import repetition_summary, runtime_vs_queue, size_vs_queue
-from .waiting import wait_summary
+from .users import runtime_vs_queue
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .study import CrossSystemStudy
 
 __all__ = ["TakeawayResult", "evaluate_takeaways"]
 
@@ -37,21 +39,25 @@ class TakeawayResult:
         return f"Takeaway {self.number} [{flag}] {self.title}"
 
 
-def _split(traces: dict[str, Trace]) -> tuple[list[Trace], list[Trace]]:
-    dl = [t for t in traces.values() if t.system.kind is SystemKind.DL]
-    hpc = [t for t in traces.values() if t.system.kind is not SystemKind.DL]
-    return dl, hpc
-
-
 def evaluate_takeaways(traces: dict[str, Trace]) -> list[TakeawayResult]:
     """Evaluate takeaways 1-8 over per-system traces (name -> Trace)."""
-    dl, hpc = _split(traces)
+    from .study import CrossSystemStudy
+
+    return study_takeaways(CrossSystemStudy.from_traces(traces))
+
+
+def study_takeaways(study: "CrossSystemStudy") -> list[TakeawayResult]:
+    """Evaluate takeaways 1-8 from the (memoized) analyses of ``study``."""
+    traces = study.traces
+    dl_names = [n for n, t in traces.items() if t.system.kind is SystemKind.DL]
+    hpc_names = [n for n in traces if n not in dl_names]
+    geometry = study.geometry()
     results: list[TakeawayResult] = []
 
     # ------------------------------------------------------------------
     # T1: DL runtimes are shorter and more diverse than HPC runtimes.
-    dl_rt = [runtime_summary(t) for t in dl]
-    hpc_rt = [runtime_summary(t) for t in hpc]
+    dl_rt = [geometry[n].runtime for n in dl_names]
+    hpc_rt = [geometry[n].runtime for n in hpc_names]
     med_dl = np.median([r.median for r in dl_rt]) if dl_rt else np.nan
     med_hpc = np.median([r.median for r in hpc_rt]) if hpc_rt else np.nan
     spread = lambda r: np.log10(max(r.violin.p95, 1.0)) - np.log10(
@@ -76,9 +82,7 @@ def evaluate_takeaways(traces: dict[str, Trace]) -> list[TakeawayResult]:
     # ------------------------------------------------------------------
     # T2: diurnal periodicity exists but is system-specific (peak ratios
     # differ by a large factor across systems).
-    ratios = {
-        name: arrival_summary(t).peak_ratio for name, t in traces.items()
-    }
+    ratios = {name: g.arrival.peak_ratio for name, g in geometry.items()}
     finite = [r for r in ratios.values() if np.isfinite(r)]
     results.append(
         TakeawayResult(
@@ -92,11 +96,8 @@ def evaluate_takeaways(traces: dict[str, Trace]) -> list[TakeawayResult]:
     # ------------------------------------------------------------------
     # T3: DL workloads are dominated by small (1-unit) requests while HPC
     # requests are orders of magnitude larger.
-    alloc = {name: allocation_summary(t) for name, t in traces.items()}
-    dl_single = [alloc[n].single_unit_fraction for n, t in traces.items()
-                 if t.system.kind is SystemKind.DL]
-    hpc_median = [alloc[n].median_cores for n, t in traces.items()
-                  if t.system.kind is not SystemKind.DL]
+    dl_single = [geometry[n].allocation.single_unit_fraction for n in dl_names]
+    hpc_median = [geometry[n].allocation.median_cores for n in hpc_names]
     results.append(
         TakeawayResult(
             3,
@@ -117,7 +118,7 @@ def evaluate_takeaways(traces: dict[str, Trace]) -> list[TakeawayResult]:
     # ------------------------------------------------------------------
     # T4: dominating job groups (>50% of core-hours) exist but shift
     # across systems.
-    shares = {name: core_hour_shares(t) for name, t in traces.items()}
+    shares = study.core_hours()
     dominant = {
         name: (s.dominant_size(), s.dominant_length())
         for name, s in shares.items()
@@ -145,8 +146,8 @@ def evaluate_takeaways(traces: dict[str, Trace]) -> list[TakeawayResult]:
             / (t.system.schedulable_units * span)
         )
 
-    util_dl = [offered_load(t) for t in dl]
-    util_hpc = [offered_load(t) for t in hpc]
+    util_dl = [offered_load(traces[n]) for n in dl_names]
+    util_hpc = [offered_load(traces[n]) for n in hpc_names]
     results.append(
         TakeawayResult(
             5,
@@ -167,7 +168,7 @@ def evaluate_takeaways(traces: dict[str, Trace]) -> list[TakeawayResult]:
     # ------------------------------------------------------------------
     # T6: waiting times vary wildly across systems (management matters);
     # the hybrid system waits longest.
-    waits = {name: wait_summary(t) for name, t in traces.items()}
+    waits = study.waiting()
     medians = {name: w.median_wait for name, w in waits.items()}
     hybrid = [
         name for name, t in traces.items()
@@ -191,12 +192,12 @@ def evaluate_takeaways(traces: dict[str, Trace]) -> list[TakeawayResult]:
     # ------------------------------------------------------------------
     # T7: failure rates are consistently high (passed < 70%) and failed/
     # killed jobs consume disproportionate core-hours.
-    st = {name: status_shares(t) for name, t in traces.items()}
+    st = study.failures()
     pass_ok = all(s.passed_count_share < 0.80 for s in st.values())
     waste_ok = all(s.wasted_core_hour_share > 0.20 for s in st.values())
     falls_with_length = []
-    for name, t in traces.items():
-        pr = status_by_class(t).pass_rate_by_length()
+    for by_class in study.failures_by_class().values():
+        pr = by_class.pass_rate_by_length()
         valid = pr[~np.isnan(pr)]
         if len(valid) >= 2:
             falls_with_length.append(valid[-1] < valid[0])
@@ -218,18 +219,18 @@ def evaluate_takeaways(traces: dict[str, Trace]) -> list[TakeawayResult]:
     # T8: per-user behaviour is consistent and exploitable: strong config
     # repetition everywhere; busy queues attract smaller jobs; on DL
     # systems busy queues also attract shorter jobs.
-    reps = {name: repetition_summary(t) for name, t in traces.items()}
+    reps = study.repetition()
     rep_ok = all(r.top(10) > 0.6 for r in reps.values())
     size_trend = []
-    for name, t in traces.items():
-        mix = size_vs_queue(t)
+    for mix in study.size_vs_queue().values():
         mf = mix.minimal_fraction()
         valid = mf[~np.isnan(mf)]
         if len(valid) >= 2:
             size_trend.append(valid[-1] >= valid[0])
     runtime_trend_dl = []
-    for t in dl:
-        mix = runtime_vs_queue(t)
+    for n in dl_names:
+        # the DL systems only: the HPC runtime mixes are never read
+        mix = study._analysis(runtime_vs_queue, n)
         mf = mix.minimal_fraction()
         valid = mf[~np.isnan(mf)]
         if len(valid) >= 2:

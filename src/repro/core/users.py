@@ -51,10 +51,12 @@ def config_groups_for_user(
     for c in np.unique(cores):
         idx = np.flatnonzero(cores == c)
         order = idx[np.argsort(runtime[idx], kind="stable")]
+        ids = []
         mean = None
         count = 0
-        for j in order:
-            rt = runtime[j]
+        # Python floats: the same IEEE double arithmetic as numpy scalars,
+        # without boxing one per job
+        for rt in runtime[order].tolist():
             if mean is not None and abs(rt - mean) <= tolerance * mean:
                 # running mean update keeps the group's centre honest
                 mean = (mean * count + rt) / (count + 1)
@@ -63,7 +65,8 @@ def config_groups_for_user(
                 next_id += 1
                 mean = rt
                 count = 1
-            groups[j] = next_id - 1
+            ids.append(next_id - 1)
+        groups[order] = ids
     return groups
 
 
@@ -149,11 +152,9 @@ class QueueConditioned:
         return self.mix[:, 0]
 
 
-def _queue_classes(trace: Trace) -> tuple[np.ndarray, tuple]:
-    qlen = queue_length_at_submit(
-        trace.sorted_by_submit()["submit_time"],
-        trace.sorted_by_submit()["wait_time"],
-    )
+def _queue_classes(tr: Trace) -> tuple[np.ndarray, tuple]:
+    """Queue-length class of each job of ``tr`` (in submission order)."""
+    qlen = queue_length_at_submit(tr["submit_time"], tr["wait_time"])
     q_max = float(qlen.max()) if len(qlen) else 0.0
     if q_max <= 0:
         return np.zeros(len(qlen), dtype=int), (0.0, 0.0)
@@ -183,7 +184,7 @@ def size_vs_queue(trace: Trace) -> QueueConditioned:
     large classes with minimal jobs carved out of 'small'.
     """
     tr = trace.sorted_by_submit()
-    q_cls, thresholds = _queue_classes(trace)
+    q_cls, thresholds = _queue_classes(tr)
     s_cls = trace_size_class(tr) + 1  # shift: 1=small, 2=middle, 3=large
     minimal = minimal_size_mask(tr["cores"])
     categories = np.where(minimal, 0, s_cls)
@@ -204,7 +205,7 @@ def runtime_vs_queue(trace: Trace) -> QueueConditioned:
     out of 'short'.
     """
     tr = trace.sorted_by_submit()
-    q_cls, thresholds = _queue_classes(trace)
+    q_cls, thresholds = _queue_classes(tr)
     l_cls = trace_length_class(tr) + 1
     minimal = minimal_runtime_mask(tr["runtime"])
     categories = np.where(minimal, 0, l_cls)

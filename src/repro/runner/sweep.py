@@ -33,10 +33,12 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ..obs.perf import PerfConfig
+from ..obs.runs import ProgressReporter, RunRegistry
 from ..sched import (
     EASY,
     BackfillConfig,
@@ -49,14 +51,10 @@ from ..sched import (
     workload_from_trace,
 )
 from ..sched.job import SimWorkload
+from ..testkit.chaos import ChaosConfig
 from .cache import ResultCache, code_version, stable_hash
 from .journal import SweepJournal
 from .watchdog import FailureReport, RetryPolicy, SweepError, run_watchdog
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import at runtime
-    from ..obs.perf import PerfConfig
-    from ..obs.runs import ProgressReporter, RunRegistry
-    from ..testkit.chaos import ChaosConfig
 
 __all__ = [
     "WorkloadSpec",
@@ -292,7 +290,7 @@ def _perf_payload(prof, sampler, metrics) -> dict:
     return payload
 
 
-def _execute_task(task: SimTask, perf: "PerfConfig | None" = None) -> TaskResult:
+def _execute_task(task: SimTask, perf: PerfConfig | None = None) -> TaskResult:
     """Run one cell to completion (worker-side entry point).
 
     With ``perf`` set, the cell runs under a span :class:`Profiler` (and
@@ -339,7 +337,7 @@ def _execute_task(task: SimTask, perf: "PerfConfig | None" = None) -> TaskResult
 
 
 def _execute_indexed(
-    item: tuple[int, SimTask], perf: "PerfConfig | None" = None
+    item: tuple[int, SimTask], perf: PerfConfig | None = None
 ) -> tuple[int, TaskResult, float, str]:
     """Worker-side wrapper: run one indexed cell and time it.
 
@@ -464,16 +462,16 @@ def run_sweep(
     tasks: Sequence[SimTask],
     jobs: int = 1,
     cache: ResultCache | str | Path | None = None,
-    registry: "RunRegistry | None" = None,
-    progress: "ProgressReporter | None" = None,
+    registry: RunRegistry | None = None,
+    progress: ProgressReporter | None = None,
     stats_out: SweepStats | None = None,
     timeout: float | None = None,
     on_error: str = "raise",
     retry: RetryPolicy | int | None = None,
     journal: SweepJournal | str | Path | None = None,
-    chaos: "ChaosConfig | None" = None,
+    chaos: ChaosConfig | None = None,
     failures_out: FailureReport | None = None,
-    perf: "PerfConfig | None" = None,
+    perf: PerfConfig | None = None,
 ) -> list[TaskResult | None]:
     """Execute a sweep, fanning cache misses out over ``jobs`` workers.
 

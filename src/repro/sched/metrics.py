@@ -17,14 +17,11 @@ Under fault injection (:mod:`repro.sched.faults`) utilization splits into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .engine import SimResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .faults import FaultSimResult
+from .faults import FaultSimResult
 
 __all__ = [
     "ScheduleMetrics",
@@ -167,7 +164,7 @@ class ResilienceMetrics:
         }
 
 
-def compute_resilience_metrics(result: "FaultSimResult") -> ResilienceMetrics:
+def compute_resilience_metrics(result: FaultSimResult) -> ResilienceMetrics:
     """Goodput/waste accounting of a :func:`simulate_with_faults` run."""
     from ..traces.schema import JobStatus
 

@@ -25,6 +25,7 @@ column             dtype    meaning
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -115,10 +116,23 @@ class Trace:
         return Trace(self.system, self.jobs.filter(mask), dict(self.meta))
 
     def sorted_by_submit(self) -> "Trace":
-        """Trace with rows in submission order."""
-        return Trace(
-            self.system, self.jobs.sort_by("submit_time"), dict(self.meta)
-        )
+        """Trace with rows in submission order.
+
+        A trace whose ``submit_time`` is already non-decreasing comes back
+        sharing its column arrays, as :meth:`Frame.select` does: a stable
+        sort of such a column is the identity permutation, so only the
+        copy is saved.  A NaN fails the ``>=`` test, so a trace with one
+        (and more than one row) is sorted as before.
+        """
+        t = self.jobs["submit_time"]
+        if not np.all(t[1:] >= t[:-1]):
+            return Trace(
+                self.system, self.jobs.sort_by("submit_time"), dict(self.meta)
+            )
+        out = copy.copy(self)  # skips __post_init__, whose casts would copy
+        out.jobs = self.jobs.select(self.jobs.column_names)
+        out.meta = dict(self.meta)
+        return out
 
     def core_hours(self) -> np.ndarray:
         """Per-job consumed core-hours (runtime × cores)."""

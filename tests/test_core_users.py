@@ -65,6 +65,90 @@ class TestConfigGroups:
             assert np.all(np.abs(member - mean) <= 2 * tol * mean + 1e-9)
 
 
+def _numpy_scalar_groups(cores, runtime, tolerance=0.10):
+    """The grouping loop as it was first written, over numpy scalars: the
+    oracle the Python-float loop must match job for job."""
+    cores = np.asarray(cores)
+    runtime = np.asarray(runtime, dtype=float)
+    groups = np.full(len(cores), -1, dtype=np.int64)
+    next_id = 0
+    for c in np.unique(cores):
+        idx = np.flatnonzero(cores == c)
+        order = idx[np.argsort(runtime[idx], kind="stable")]
+        mean = None
+        count = 0
+        for j in order:
+            rt = runtime[j]
+            if mean is not None and abs(rt - mean) <= tolerance * mean:
+                mean = (mean * count + rt) / (count + 1)
+                count += 1
+            else:
+                next_id += 1
+                mean = rt
+                count = 1
+            groups[j] = next_id - 1
+    return groups
+
+
+#: runtimes that stress the comparison: ties, zeros, round and tiny values
+_EDGE_RUNTIMES = st.sampled_from([0.0, 1.0, 90.0, 100.0, 110.0, 1e-300, 5e-324])
+
+
+class TestConfigGroupsMatchScalarLoop:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([1, 2, 4]),
+                st.one_of(_EDGE_RUNTIMES, st.floats(0.0, 1e6)),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([0.0, 0.05, 0.10, 0.25, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_scalar_loop(self, jobs, tol):
+        cores = np.array([c for c, _ in jobs], dtype=np.int64)
+        rt = np.array([r for _, r in jobs], dtype=float)
+        assert np.array_equal(
+            config_groups_for_user(cores, rt, tol),
+            _numpy_scalar_groups(cores, rt, tol),
+        )
+
+    @given(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_single_core_count_with_equal_runtimes(self, runtimes):
+        rt = np.array(runtimes + runtimes)  # every runtime appears twice
+        cores = np.full(len(rt), 8)
+        assert np.array_equal(
+            config_groups_for_user(cores, rt), _numpy_scalar_groups(cores, rt)
+        )
+
+    @given(
+        st.floats(1.0, 1e4),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        st.sampled_from([-np.inf, 0.0, np.inf]),
+        st.sampled_from([0.05, 0.10, 0.25]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_next_job_on_running_mean_edge(self, lo, fracs, nudge, tol):
+        # a group of jobs, then one whose runtime is the group's running
+        # mean plus ``tol * mean`` (or one ulp either side): the verdict
+        # turns on the last bit of the mean, so any change to the order of
+        # the arithmetic shows
+        group = sorted(lo * (1 + f * tol / 2) for f in [0.0, *fracs])
+        mean, count = group[0], 1
+        for rt in group[1:]:
+            mean = (mean * count + rt) / (count + 1)
+            count += 1
+        edge = mean + tol * mean
+        rt = np.array(group + [edge if nudge == 0 else np.nextafter(edge, nudge)])
+        cores = np.ones(len(rt), dtype=int)
+        assert np.array_equal(
+            config_groups_for_user(cores, rt, tol),
+            _numpy_scalar_groups(cores, rt, tol),
+        )
+
+
 class TestRepetition:
     def test_single_config_user_repeats_fully(self):
         tr = Trace(

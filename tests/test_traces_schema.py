@@ -79,6 +79,63 @@ class TestTrace:
         assert list(tr.sorted_by_submit()["submit_time"]) == [1.0, 5.0]
 
 
+def _submit_trace(submit):
+    n = len(submit)
+    return Trace(
+        system=MIRA,
+        jobs=Frame(
+            {
+                "submit_time": np.asarray(submit, dtype=float),
+                "runtime": np.arange(n, dtype=float) + 1.0,
+                "cores": np.arange(n, dtype=np.int64) + 1,
+                "user_id": np.arange(n, dtype=np.int64) % 3,
+            }
+        ),
+        meta={"source": "test"},
+    )
+
+
+class TestSortedBySubmit:
+    """``sorted_by_submit`` is bit-identical to a stable sort of the jobs,
+    and shares the columns when the trace is already in submission order."""
+
+    CASES = {
+        "sorted_with_ties": [0.0, 5.0, 5.0, 5.0, 9.0, 9.0],
+        "unsorted": [5.0, 1.0, 5.0, 0.0, 3.0],
+        "nan_submit": [1.0, np.nan, 2.0, 3.0],
+        "empty": [],
+        "one_row": [4.0],
+        "signed_zeros": [-0.0, 0.0, -0.0, 1.0],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_stable_sort(self, case):
+        tr = _submit_trace(self.CASES[case])
+        got = tr.sorted_by_submit()
+        want = tr.jobs.sort_by("submit_time")
+        assert got.jobs.column_names == want.column_names
+        for col in want.column_names:
+            assert got[col].dtype == want[col].dtype
+            assert got[col].tobytes() == want[col].tobytes(), col
+        assert got.system is tr.system
+        assert got.meta == tr.meta and got.meta is not tr.meta
+
+    @pytest.mark.parametrize("case", ["sorted_with_ties", "one_row", "signed_zeros"])
+    def test_sorted_trace_shares_columns(self, case):
+        tr = _submit_trace(self.CASES[case])
+        got = tr.sorted_by_submit()
+        assert got.jobs is not tr.jobs
+        for col in tr.jobs.column_names:
+            assert got[col] is tr[col], col
+
+    @pytest.mark.parametrize("case", ["unsorted", "nan_submit"])
+    def test_unsorted_trace_copies_columns(self, case):
+        tr = _submit_trace(self.CASES[case])
+        got = tr.sorted_by_submit()
+        for col in tr.jobs.column_names:
+            assert not np.shares_memory(got[col], tr[col]), col
+
+
 class TestJobStatus:
     def test_labels(self):
         assert JobStatus.PASSED.label == "Passed"
